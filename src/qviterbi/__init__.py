@@ -1,9 +1,10 @@
 """Hybrid variational decoding of small binary linear codes.
 
 The package builds cost and mixer Hamiltonians from any small linear code,
-simulates the layered parameterized circuit exactly on a classical
-statevector, trains the circuit parameters, and validates every decoded
-result against a classical trellis decoder.
+simulates the layered parameterized circuit exactly on the code's 2^k
+codespace (with a dense statevector simulator as the reference), trains the
+circuit parameters, and validates every decoded result against a classical
+trellis decoder.
 """
 
 from .codes import (

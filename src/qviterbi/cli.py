@@ -46,6 +46,8 @@ class RunConfig:
             if getattr(args, name, None) is not None:
                 setattr(cfg, name, getattr(args, name))
         cfg.dump_state = bool(getattr(args, "dump_state", False))
+        if cfg.dump_state and (1 << code.n) > MAX_DUMP_ENTRIES:
+            raise ValueError(f"state has {1 << code.n} entries; dump is limited to {MAX_DUMP_ENTRIES}")
         for name, minimum in (("p", 1), ("q", 1), ("shots", 1)):
             if getattr(cfg, name) < minimum:
                 raise ValueError(f"{name} must be at least {minimum}")
@@ -89,8 +91,6 @@ def cmd_decode(cfg: RunConfig) -> str:
     }
     if cfg.dump_state:
         sv = run_pqc(cfg.code, cfg.received, result.best_params)
-        if sv.dim > MAX_DUMP_ENTRIES:
-            raise ValueError(f"state has {sv.dim} entries; dump is limited to {MAX_DUMP_ENTRIES}")
         report["statevector"] = sv.to_json_entries()
     return _json_report(report)
 
@@ -184,13 +184,13 @@ def main(argv: list[str] | None = None) -> int:
             text = cmd_landscape(cfg, args.grid)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
+        _emit(text, cfg.out)
     except (QviterbiError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 3
-    _emit(text, cfg.out)
     return 0
 
 

@@ -69,6 +69,14 @@ class BitVector:
         return value
 
 
+def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Hamming weight of each integer in ``values`` that fits in ``num_bits`` bits."""
+    counts = np.zeros(values.shape, dtype=np.int64)
+    for b in range(num_bits):
+        counts += (values >> b) & 1
+    return counts
+
+
 def hamming_distance(a: BitVector, b: BitVector) -> int:
     """Number of positions where ``a`` and ``b`` differ."""
     if len(a) != len(b):

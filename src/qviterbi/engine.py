@@ -6,31 +6,34 @@ at any depth. The staged strategy ("fpo") optimizes one layer at a time with
 earlier layers frozen at their chosen values. The random baseline optimizes
 all 2p coordinates from random starts.
 
+Training, the final measurement and the landscape scan evaluate the circuit on
+a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
+an evaluation takes microseconds. At that size worker threads only contend for
+the interpreter lock, so the draws run one after another. ``run_pqc`` and the
+``expectation_*`` functions keep the dense statevector path as the reference
+that tests and state dumps use.
+
 All randomness flows from one master seed through counter-based splits, so a
-run is reproducible bit for bit. The independent draws of a strategy may run
-in parallel; QVITERBI_THREADS caps the worker count and aggregation order is
-fixed by draw index either way.
+run is reproducible bit for bit.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .codes import BitVector, Code
 from .errors import LengthError
 from .hamiltonians import build_mixer_hamiltonian
+from .nelder_mead import minimize
+from .problem import DecodeProblem
 from .statevector import (
     CircuitMode,
     Statevector,
     apply_cost_unitary,
     apply_mixer_unitary,
     distances_to,
-    extract_codeword_register,
     measure_counts,
     prepare_full_register,
     prepare_uniform_codespace,
@@ -131,21 +134,6 @@ def child_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("QVITERBI_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_draws(fn, count: int) -> list:
-    workers = min(_thread_cap(), count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(j) for j in range(count)]
-
-
 def run_pqc(
     code: Code,
     received: BitVector,
@@ -192,19 +180,13 @@ def expectation_sampled(sv: Statevector, received: BitVector, shots: int, seed: 
     return total / shots
 
 
-def _codeword_state(sv: Statevector, received: BitVector) -> Statevector:
-    if sv.num_qubits == 2 * len(received):
-        return extract_codeword_register(sv, received)
-    return sv
-
-
 class _Evaluator:
-    """Maps a circuit output to a cost value, with counter-split seeds in sampled mode."""
+    """Cost of one parameter point, with counter-split seeds in sampled mode."""
 
-    def __init__(self, received: BitVector, mode: str, shots: int, master: int, stage: int, draw: int):
+    def __init__(self, problem: DecodeProblem, mode: str, shots: int, master: int, stage: int, draw: int):
         if mode not in ("exact", "sampled"):
             raise ValueError("mode must be 'exact' or 'sampled'")
-        self.received = received
+        self.problem = problem
         self.mode = mode
         self.shots = shots
         self.master = master
@@ -212,18 +194,18 @@ class _Evaluator:
         self.draw = draw
         self.calls = 0
 
-    def __call__(self, sv: Statevector) -> float:
-        sv = _codeword_state(sv, self.received)
+    def __call__(self, betas, gammas) -> float:
+        probs = self.problem.probabilities(betas, gammas)
         if self.mode == "exact":
-            return expectation_exact(sv, self.received)
+            return self.problem.expectation(probs)
         seed = child_seed(self.master, _ROLE_EVAL, self.stage, self.draw, self.calls)
         self.calls += 1
-        return expectation_sampled(sv, self.received, self.shots, seed)
+        return self.problem.expectation_sampled(probs, self.shots, seed)
 
 
 def _optimize(objective, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    res = minimize(objective, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-    return np.asarray(res.x, dtype=float), float(res.fun), bool(res.success)
+    res = minimize(objective, x0, **_NM_OPTIONS)
+    return res.x, res.fun, res.success
 
 
 def _best_index(records: list[DrawRecord]) -> int:
@@ -234,6 +216,7 @@ def _best_index(records: list[DrawRecord]) -> int:
 
 def _finish(
     strategy: str,
+    problem: DecodeProblem,
     code: Code,
     received: BitVector,
     records: list[DrawRecord],
@@ -242,25 +225,23 @@ def _finish(
     shots: int,
     seed: int,
     mode: str,
-    circuit_mode: CircuitMode,
 ) -> TrainingResult:
     oracle = ml_brute_force(code, received)
     f_min = oracle.best_metric
     ratio = (best_expectation / f_min) if f_min > 0 else None
 
-    final_sv = _codeword_state(run_pqc(code, received, best_params, circuit_mode), received)
-    counts = measure_counts(final_sv, shots, child_seed(seed, _ROLE_MEASURE))
-    optimal = {str(c) for c in oracle.best_codewords}
-    hits = sum(c for state, c in counts.items() if state in optimal)
+    probs = problem.probabilities(best_params.betas, best_params.gammas)
+    counts = problem.sample(probs, shots, child_seed(seed, _ROLE_MEASURE))
+    optimal = [c.to_index() for c in oracle.best_codewords]
+    hits = int(counts[np.isin(problem.codewords, optimal)].sum())
 
     if mode == "exact":
-        probs = final_sv.probabilities()
-        width = final_sv.num_qubits
-        distribution = {
-            format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p > 1e-15
-        }
+        weights = probs.tolist()
+        kept = [i for i, p in enumerate(weights) if p > 1e-15]
     else:
-        distribution = {state: float(c) for state, c in counts.items()}
+        weights = counts.astype(float).tolist()
+        kept = np.flatnonzero(counts).tolist()
+    distribution = {problem.bit_string(i): weights[i] for i in kept}
 
     return TrainingResult(
         strategy=strategy,
@@ -293,7 +274,6 @@ def train_upo(
     shots: int,
     seed: int,
     mode: str = "exact",
-    circuit_mode: CircuitMode = CircuitMode.FOLDED,
 ) -> TrainingResult:
     """Uniform-parameter training: all p layers share one (beta, gamma) pair.
 
@@ -302,14 +282,15 @@ def train_upo(
     expectation wins.
     """
     _check_training_args(code, received, p, q, shots)
+    problem = DecodeProblem(code, received)
 
     def run_draw(j: int) -> DrawRecord:
         rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, 0, j))
         x0 = rng.uniform(0.0, TWO_PI, 2)
-        evaluator = _Evaluator(received, mode, shots, seed, 0, j)
+        evaluator = _Evaluator(problem, mode, shots, seed, 0, j)
 
         def objective(v):
-            return evaluator(run_pqc(code, received, QaoaParams.uniform_params(p, v[0], v[1]), circuit_mode))
+            return evaluator((v[0],) * p, (v[1],) * p)
 
         x, fx, ok = _optimize(objective, x0)
         return DrawRecord(
@@ -319,10 +300,10 @@ def train_upo(
             converged=ok,
         )
 
-    records = _map_draws(run_draw, q)
+    records = [run_draw(j) for j in range(q)]
     best = records[_best_index(records)]
-    return _finish("UPO", code, received, records, best.final_params, best.expectation,
-                   shots, seed, mode, circuit_mode)
+    return _finish("UPO", problem, code, received, records, best.final_params, best.expectation,
+                   shots, seed, mode)
 
 
 def train_fpo(
@@ -333,7 +314,6 @@ def train_fpo(
     shots: int,
     seed: int,
     mode: str = "exact",
-    circuit_mode: CircuitMode = CircuitMode.FOLDED,
 ) -> TrainingResult:
     """Staged training: grow the circuit one layer at a time.
 
@@ -342,6 +322,7 @@ def train_fpo(
     The reported samples are the final stage's records.
     """
     _check_training_args(code, received, p, q, shots)
+    problem = DecodeProblem(code, received)
 
     fixed_b: list[float] = []
     fixed_g: list[float] = []
@@ -353,11 +334,10 @@ def train_fpo(
         def run_draw(j: int) -> DrawRecord:
             rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j))
             x0 = rng.uniform(0.0, TWO_PI, 2)
-            evaluator = _Evaluator(received, mode, shots, seed, stage, j)
+            evaluator = _Evaluator(problem, mode, shots, seed, stage, j)
 
             def objective(v):
-                params = QaoaParams(base_b + (v[0],), base_g + (v[1],))
-                return evaluator(run_pqc(code, received, params, circuit_mode))
+                return evaluator(base_b + (v[0],), base_g + (v[1],))
 
             x, fx, ok = _optimize(objective, x0)
             return DrawRecord(
@@ -367,15 +347,15 @@ def train_fpo(
                 converged=ok,
             )
 
-        records = _map_draws(run_draw, q)
+        records = [run_draw(j) for j in range(q)]
         best = records[_best_index(records)]
         fixed_b.append(best.final_params.betas[-1])
         fixed_g.append(best.final_params.gammas[-1])
         best_expectation = best.expectation
 
     best_params = QaoaParams(tuple(fixed_b), tuple(fixed_g))
-    return _finish("FPO", code, received, records, best_params, best_expectation,
-                   shots, seed, mode, circuit_mode)
+    return _finish("FPO", problem, code, received, records, best_params, best_expectation,
+                   shots, seed, mode)
 
 
 def train_random(
@@ -386,19 +366,18 @@ def train_random(
     shots: int,
     seed: int,
     mode: str = "exact",
-    circuit_mode: CircuitMode = CircuitMode.FOLDED,
 ) -> TrainingResult:
     """Random-start baseline over the full 2p-dimensional parameter space."""
     _check_training_args(code, received, p, q, shots)
+    problem = DecodeProblem(code, received)
 
     def run_draw(j: int) -> DrawRecord:
         rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, 0, j))
         x0 = rng.uniform(0.0, TWO_PI, 2 * p)
-        evaluator = _Evaluator(received, mode, shots, seed, 0, j)
+        evaluator = _Evaluator(problem, mode, shots, seed, 0, j)
 
         def objective(v):
-            params = QaoaParams(tuple(v[:p]), tuple(v[p:]))
-            return evaluator(run_pqc(code, received, params, circuit_mode))
+            return evaluator(v[:p], v[p:])
 
         x, fx, ok = _optimize(objective, x0)
         return DrawRecord(
@@ -408,22 +387,16 @@ def train_random(
             converged=ok,
         )
 
-    records = _map_draws(run_draw, q)
+    records = [run_draw(j) for j in range(q)]
     best = records[_best_index(records)]
-    return _finish("RANDOM", code, received, records, best.final_params, best.expectation,
-                   shots, seed, mode, circuit_mode)
+    return _finish("RANDOM", problem, code, received, records, best.final_params, best.expectation,
+                   shots, seed, mode)
 
 
 TRAINERS = {"upo": train_upo, "fpo": train_fpo, "random": train_random}
 
 
-def landscape_scan(
-    code: Code,
-    received: BitVector,
-    p: int,
-    grid: int,
-    circuit_mode: CircuitMode = CircuitMode.FOLDED,
-) -> np.ndarray:
+def landscape_scan(code: Code, received: BitVector, p: int, grid: int) -> np.ndarray:
     """Exact cost expectation over a uniform (beta, gamma) grid on [0, 2*pi)^2.
 
     Returns an array of (beta, gamma, expectation) rows, beta-major, with
@@ -431,14 +404,12 @@ def landscape_scan(
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if len(received) != code.n:
-        raise LengthError(f"received length {len(received)} != n = {code.n}")
+    problem = DecodeProblem(code, received)
     axis = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     rows = np.empty((grid * grid, 3), dtype=float)
     i = 0
     for beta in axis:
         for gamma in axis:
-            sv = run_pqc(code, received, QaoaParams.uniform_params(p, beta, gamma), circuit_mode)
-            rows[i] = (beta, gamma, expectation_exact(_codeword_state(sv, received), received))
+            rows[i] = (beta, gamma, problem.expectation(problem.probabilities((beta,) * p, (gamma,) * p)))
             i += 1
     return rows

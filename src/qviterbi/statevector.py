@@ -1,4 +1,8 @@
-"""Exact dense statevector simulation of the decoder circuits.
+"""Exact dense statevector simulation of the decoder circuits: the reference.
+
+Training and measurement run on the compiled codespace simulator in
+``problem``. This module is the independent, gate-level reference it is
+tested against, and it produces the ``--dump-state`` amplitudes.
 
 Basis convention: amplitude index i encodes the bit string whose qubit q
 (0-based, leftmost printed bit first) is ``(i >> (num_qubits - 1 - q)) & 1``.
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from .codes import BitVector, Code
+from .codes import BitVector, Code, popcounts
 from .errors import LengthError, StatePrepError
 from .hamiltonians import PauliHamiltonian
 
@@ -137,18 +141,11 @@ class Statevector:
         ]
 
 
-def _popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
-    counts = np.zeros(values.shape, dtype=np.int64)
-    for b in range(num_bits):
-        counts += (values >> b) & 1
-    return counts
-
-
 def distances_to(received: BitVector) -> np.ndarray:
     """Hamming distance from every length-n basis state to ``received``."""
     n = len(received)
     idx = np.arange(1 << n)
-    return _popcounts(idx ^ received.to_index(), n)
+    return popcounts(idx ^ received.to_index(), n)
 
 
 def _apply_codespace_prep(sv: Statevector, code: Code) -> None:

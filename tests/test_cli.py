@@ -1,0 +1,109 @@
+"""The command-line contract: exit codes, byte-identical reports, --out, fail-fast limits."""
+import json
+
+import pytest
+
+from qviterbi import cli
+
+DECODE = ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2", "--seed", "3"]
+
+
+def run(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def write_code(tmp_path, body):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def test_decode_succeeds(capsys):
+    rc, out, _ = run(DECODE, capsys)
+    assert rc == 0
+    assert json.loads(out)["command"] == "decode"
+
+
+@pytest.mark.parametrize("argv", [
+    DECODE + ["--mode", "sampled"],
+    DECODE + ["--strategy", "fpo"],
+    ["oracle", "--code", "conv_r12_m2", "--received", "1101100111"],
+    ["compare", "--code", "lbc_321", "--received", "011", "--p", "2", "--q", "2", "--repetitions", "2"],
+    ["landscape", "--code", "lbc_321", "--received", "011", "--p", "2", "--grid", "4"],
+])
+def test_same_argv_gives_byte_identical_reports(argv, capsys):
+    rc1, first, _ = run(argv, capsys)
+    rc2, second, _ = run(argv, capsys)
+    assert rc1 == rc2 == 0
+    assert first == second
+
+
+def test_out_writes_the_stdout_bytes(tmp_path, capsys):
+    _, stdout_report, _ = run(DECODE, capsys)
+    target = tmp_path / "report.json"
+    rc, out, _ = run(DECODE + ["--out", str(target)], capsys)
+    assert rc == 0
+    assert out == ""
+    assert target.read_text() == stdout_report
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--code", "no_such_code", "--received", "111011"],
+    ["oracle", "--code", "lbc_633", "--received", "111"],
+    DECODE + ["--q", "0"],
+])
+def test_configuration_errors_exit_2(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unwritable_out_exits_2(capsys):
+    argv = ["oracle", "--code", "lbc_633", "--received", "111011", "--out", "/nonexistent/dir/x.json"]
+    rc, _, err = run(argv, capsys)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_zero_code_decode_exits_2(tmp_path, capsys):
+    source = write_code(tmp_path, {"codewords": ["000"]})
+    rc, _, err = run(["decode", "--code", source, "--received", "101", "--p", "1", "--q", "1"], capsys)
+    assert rc == 2
+    assert "no nonzero codewords" in err
+
+
+def test_dump_state_refused_before_training(tmp_path, monkeypatch, capsys):
+    # Hamming [15,11,3]: a 2^15-entry state is over the dump limit.
+    poly = [1, 1, 0, 0, 1]
+    rows = [[0] * i + poly + [0] * (10 - i) for i in range(11)]
+    source = write_code(tmp_path, {"generator": rows})
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("trained before refusing the dump")
+
+    monkeypatch.setitem(cli.TRAINERS, "upo", must_not_train)
+    rc, out, err = run(["decode", "--code", source, "--received", "0" * 15, "--dump-state"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "dump is limited" in err
+
+
+def test_dump_state_within_limit(capsys):
+    rc, out, _ = run(DECODE + ["--dump-state"], capsys)
+    assert rc == 0
+    assert len(json.loads(out)["statevector"]) == 1 << 6
+
+
+def test_internal_failure_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "viterbi_decode", broken)
+    rc, out, err = run(["oracle", "--code", "lbc_633", "--received", "111011"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert "RuntimeError: boom" in err

@@ -256,21 +256,6 @@ class TestLandscape:
             landscape_scan(lbc_321, bv("011"), p=1, grid=1)
 
 
-class TestParallelism:
-    def test_thread_cap_does_not_change_results(self, lbc_633, monkeypatch):
-        r = bv("111011")
-        monkeypatch.setenv("QVITERBI_THREADS", "1")
-        serial = train_upo(lbc_633, r, p=2, q=4, shots=500, seed=11)
-        monkeypatch.setenv("QVITERBI_THREADS", "4")
-        threaded = train_upo(lbc_633, r, p=2, q=4, shots=500, seed=11)
-        assert serial == threaded
-
-    def test_bad_env_value_falls_back(self, lbc_633, monkeypatch):
-        monkeypatch.setenv("QVITERBI_THREADS", "lots")
-        result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)
-        assert result.samples
-
-
 class TestSeedSplit:
     def test_child_seed_deterministic(self):
         assert child_seed(7, 1, 2) == child_seed(7, 1, 2)

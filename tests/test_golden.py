@@ -5,6 +5,12 @@ pin the whole decode (training trajectory, final distribution, measurement) so
 that any change to the simulator or the optimizer that moves a result shows.
 p = 1 is deliberately absent: there the mixer-first layer leaves the uniform
 codespace distribution unchanged, and its top state is decided by float noise.
+
+The same defect makes FPO's first stage and the random strategy's first beta
+flat directions, so the angles Nelder-Mead settles on there are chosen by
+rounding noise, and any change in how the state is computed moves them (FPO
+finds 334 solution hits on the dense simulator and 1551 on the compiled one).
+For those two strategies only the decoded word is pinned.
 """
 import json
 
@@ -29,34 +35,6 @@ GOLDEN = {
             "111000": 0.047058496649732585,
         },
     },
-    ("fpo", "exact"): {
-        "solution_hits": 334,
-        "best_expectation": 2.774632104992576,
-        "distribution": {
-            "000000": 0.09294970900068276,
-            "001110": 0.105915363519782,
-            "010101": 0.10591536351978204,
-            "011011": 0.1689678338022184,
-            "100011": 0.1425811862219556,
-            "101101": 0.12054467885681099,
-            "110110": 0.12054467885681099,
-            "111000": 0.1425811862219555,
-        },
-    },
-    ("random", "exact"): {
-        "solution_hits": 1762,
-        "best_expectation": 1.1549463051700357,
-        "distribution": {
-            "000000": 0.0003054159390320215,
-            "001110": 0.0031340752245949772,
-            "010101": 0.003134075224594981,
-            "011011": 0.8804852268874548,
-            "100011": 0.0454811116911533,
-            "101101": 0.010989491671007967,
-            "110110": 0.010989491671007967,
-            "111000": 0.0454811116911533,
-        },
-    },
     ("upo", "sampled"): {
         "solution_hits": 1668,
         "best_expectation": 1.2905,
@@ -78,18 +56,26 @@ def _top_state(distribution):
     return sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-@pytest.mark.parametrize("strategy,mode", sorted(GOLDEN))
-def test_golden_decode(strategy, mode, capsys):
+def _decode(strategy, mode, capsys):
     argv = ["decode", "--code", "lbc_633", "--received", "111011", "--p", "3", "--q", "5",
             "--seed", "0", "--strategy", strategy, "--mode", mode]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    expected = GOLDEN[(strategy, mode)]
-    result = report["result"]
-
     assert report["oracle"] == ORACLE
     assert report["oracle_agrees"] is True
-    assert _top_state(result["distribution"]) == "011011"
+    assert _top_state(report["result"]["distribution"]) == "011011"
+    return report["result"]
+
+
+@pytest.mark.parametrize("strategy", ["fpo", "random"])
+def test_decoded_word_with_noise_decided_angles(strategy, capsys):
+    _decode(strategy, "exact", capsys)
+
+
+@pytest.mark.parametrize("strategy,mode", sorted(GOLDEN))
+def test_golden_decode(strategy, mode, capsys):
+    result = _decode(strategy, mode, capsys)
+    expected = GOLDEN[(strategy, mode)]
     assert result["solution_hits"] == expected["solution_hits"]
     assert result["best_expectation"] == pytest.approx(expected["best_expectation"], abs=1e-9)
     assert set(result["distribution"]) == set(expected["distribution"])

@@ -1,0 +1,154 @@
+"""The compiled codespace simulator against the dense statevector reference."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qviterbi import (
+    BitVector,
+    EmptyMixerError,
+    Gf2Matrix,
+    QaoaParams,
+    code_from_codewords,
+    code_from_generator,
+    measure_counts,
+    run_pqc,
+    train_fpo,
+    train_random,
+    train_upo,
+)
+from qviterbi.engine import TWO_PI
+from qviterbi.problem import DecodeProblem, fwht
+from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
+from conftest import BUILTIN_NAMES
+
+MAX_N = 6
+
+
+def scattered(problem, betas, gammas):
+    """Compiled amplitudes placed at their codewords' indices in the 2^n register."""
+    full = np.zeros(1 << problem.n, dtype=np.complex128)
+    full[problem.codewords] = problem.amplitudes(betas, gammas)
+    return full
+
+
+def assert_matches_dense(code, received, betas, gammas, full_register=False):
+    problem = DecodeProblem(code, received)
+    compiled = scattered(problem, betas, gammas)
+    params = QaoaParams(tuple(betas), tuple(gammas))
+    folded = run_pqc(code, received, params, CircuitMode.FOLDED).amplitudes
+    assert np.max(np.abs(compiled - folded)) <= 1e-12
+    if full_register:
+        full = extract_codeword_register(run_pqc(code, received, params, CircuitMode.FULL), received)
+        assert allclose_up_to_global_phase(compiled, full.amplitudes, atol=1e-10)
+
+
+def _rank(rows):
+    return Gf2Matrix.from_rows(rows).rank()
+
+
+@st.composite
+def generators(draw):
+    """Full-rank generator matrices, systematic or not, with n <= MAX_N."""
+    n = draw(st.integers(1, MAX_N))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        parity = draw(st.lists(st.lists(st.integers(0, 1), min_size=n - k, max_size=n - k),
+                               min_size=k, max_size=k))
+        return [[int(i == j) for j in range(k)] + parity[i] for i in range(k)]
+    return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k)
+                .filter(lambda rows: _rank(rows) == k))
+
+
+@st.composite
+def decode_cases(draw):
+    rows = draw(generators())
+    n = len(rows[0])
+    if draw(st.booleans()):
+        code = code_from_generator(Gf2Matrix.from_rows(rows))
+    else:
+        # The same code ingested as an explicit codeword list.
+        span = {0}
+        for row in rows:
+            word = int("".join(map(str, row)), 2)
+            span |= {w ^ word for w in span}
+        code = code_from_codewords([BitVector.from_index(w, n) for w in sorted(span)])
+    received = BitVector(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    p = draw(st.integers(1, 3))
+    angle = st.floats(0.0, TWO_PI, allow_nan=False)
+    betas = draw(st.lists(angle, min_size=p, max_size=p))
+    gammas = draw(st.lists(angle, min_size=p, max_size=p))
+    return code, received, betas, gammas
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(decode_cases())
+def test_random_codes_match_dense_and_full_register(case):
+    code, received, betas, gammas = case
+    assert_matches_dense(code, received, betas, gammas, full_register=True)
+
+
+def cyclic_generator(poly, n):
+    r = len(poly) - 1
+    return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
+
+
+def reed_muller_1(m):
+    points = range(1 << m)
+    return [[1] * (1 << m)] + [[(x >> b) & 1 for x in points] for b in range(m)]
+
+
+@pytest.mark.parametrize("rows,nkd", [
+    (cyclic_generator([1, 0, 0, 0, 1, 0, 1, 1, 1], 15), (15, 7, 5)),  # BCH, 1 + x^4 + x^6 + x^7 + x^8
+    (reed_muller_1(4), (16, 5, 8)),
+])
+def test_wide_codes_match_dense(rows, nkd):
+    code = code_from_generator(Gf2Matrix.from_rows(rows))
+    assert (code.n, code.k, code.d) == nkd
+    rng = np.random.default_rng(5)
+    received = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+    for p in (1, 2):
+        assert_matches_dense(code, received, rng.uniform(0, TWO_PI, p), rng.uniform(0, TWO_PI, p))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_codewords_follow_codespace_order(name, all_builtins):
+    code = all_builtins[name]
+    problem = DecodeProblem(code, code.codespace[-1])
+    assert [BitVector.from_index(int(w), code.n) for w in problem.codewords] == list(code.codespace)
+    assert problem.distances.tolist() == [
+        (w.to_index() ^ code.codespace[-1].to_index()).bit_count() for w in code.codespace
+    ]
+
+
+def test_spectrum_is_mixer_eigenvalues(lbc_633):
+    # lambda_t = sum over min-weight messages mu of (-1)^popcount(t & mu).
+    problem = DecodeProblem(lbc_633, BitVector.zero(6))
+    messages = [m for m, w in enumerate(problem.codewords) if bin(int(w)).count("1") == lbc_633.d]
+    expected = [sum((-1) ** bin(t & m).count("1") for m in messages) for t in range(8)]
+    assert problem.spectrum.tolist() == expected
+
+
+def test_fwht_is_hadamard_matrix():
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    x = np.random.default_rng(0).normal(size=16)
+    assert np.allclose(fwht(x), h @ x, atol=1e-12)
+
+
+def test_sampled_counts_match_dense_measurement(conv_code):
+    received = BitVector.from_string("1101100111")
+    params = QaoaParams((0.4, 1.9), (2.2, 0.7))
+    problem = DecodeProblem(conv_code, received)
+    probs = problem.probabilities(params.betas, params.gammas)
+    dense = measure_counts(run_pqc(conv_code, received, params), 500, seed=21)
+    counts = problem.sample(probs, 500, seed=21)
+    assert {problem.bit_string(i): int(c) for i, c in enumerate(counts) if c} == dense
+
+
+@pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
+def test_zero_code_raises_empty_mixer(trainer):
+    code = code_from_codewords([BitVector.zero(3)])
+    with pytest.raises(EmptyMixerError):
+        trainer(code, BitVector.from_string("101"), p=2, q=1, shots=10, seed=0)
