@@ -255,9 +255,7 @@ def _finish(
     )
 
 
-def _check_training_args(code: Code, received: BitVector, p: int, q: int, shots: int) -> None:
-    if len(received) != code.n:
-        raise LengthError(f"received length {len(received)} != n = {code.n}")
+def _check_training_args(p: int, q: int, shots: int) -> None:
     if p < 1:
         raise ValueError("p must be at least 1")
     if q < 1:
@@ -281,7 +279,7 @@ def train_upo(
     2-dimensional shared-parameter space; the draw with the lowest cost
     expectation wins.
     """
-    _check_training_args(code, received, p, q, shots)
+    _check_training_args(p, q, shots)
     problem = DecodeProblem(code, received)
 
     def run_draw(j: int) -> DrawRecord:
@@ -321,7 +319,7 @@ def train_fpo(
     (beta_l, gamma_l) is optimized, again as the best of q random starts.
     The reported samples are the final stage's records.
     """
-    _check_training_args(code, received, p, q, shots)
+    _check_training_args(p, q, shots)
     problem = DecodeProblem(code, received)
 
     fixed_b: list[float] = []
@@ -368,7 +366,7 @@ def train_random(
     mode: str = "exact",
 ) -> TrainingResult:
     """Random-start baseline over the full 2p-dimensional parameter space."""
-    _check_training_args(code, received, p, q, shots)
+    _check_training_args(p, q, shots)
     problem = DecodeProblem(code, received)
 
     def run_draw(j: int) -> DrawRecord:
