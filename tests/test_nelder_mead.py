@@ -35,7 +35,7 @@ def test_matches_scipy_bit_for_bit(all_builtins):
     hit_maxiter = 0
     for name in BUILTIN_NAMES:
         for mode in ("exact", "sampled"):
-            for dims in (2, 4, 6):
+            for dims in (2, 6):
                 for seed in range(2):
                     ours_fn, ref_fn, x0 = objectives(all_builtins[name], mode, dims, seed)
                     ours = minimize(ours_fn, x0, **_NM_OPTIONS)
