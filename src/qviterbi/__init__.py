@@ -39,14 +39,11 @@ from .errors import (
     QviterbiError,
     RankError,
     StatePrepError,
-    TrellisError,
 )
 from .hamiltonians import (
-    GMatrix,
     PauliHamiltonian,
     PauliString,
     build_cost_hamiltonian,
-    build_g_matrix,
     build_mixer_hamiltonian,
     eigenvalue_of,
     fourier_expand_xor,

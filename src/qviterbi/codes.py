@@ -7,7 +7,7 @@ most significant bit of the word's integer encoding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> BitVector:
-        if not s or set(s) - {"0", "1"}:
+        if not isinstance(s, str) or not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a bit string: {s!r}")
         return cls(tuple(int(c) for c in s))
 
@@ -100,6 +100,8 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows) -> Gf2Matrix:
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise ValueError("matrix rows must be lists")
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
@@ -177,71 +179,61 @@ def _bad_entry(x):
 
 @dataclass(frozen=True)
 class Code:
-    """A binary linear code with its fully enumerated codespace.
+    """A binary linear code with its fully enumerated codewords.
 
-    ``generator`` is stored in reduced row-echelon form. ``parity_check`` is
-    present only when the generator is systematic ``[I | P]``; otherwise
-    membership checks fall back to codespace lookup. ``branch_bits`` is the
-    trellis branch label width (more than 1 only for terminated convolutional
-    codes ingested as codeword lists).
+    ``generator`` is stored in reduced row-echelon form and ``parity_check``
+    is an (n - k) x n matrix whose null space is the code. ``codewords`` holds
+    every codeword as an integer (leftmost bit most significant) in ascending
+    order, which is also message order: bit j of a word's index is its bit at
+    the pivot of generator row k - 1 - j. ``codespace`` holds the same words,
+    in the same order, as bit vectors. ``branch_bits`` is the trellis branch
+    label width (more than 1 only for terminated convolutional codes ingested
+    as codeword lists).
     """
 
     n: int
     k: int
     d: int
     generator: Gf2Matrix
-    parity_check: Gf2Matrix | None
+    parity_check: Gf2Matrix
+    codewords: tuple[int, ...]
     codespace: tuple[BitVector, ...]
     kind: str = "block"
     branch_bits: int = 1
     name: str = ""
-    _codespace_set: frozenset[int] = field(repr=False, default=frozenset())
-
-    def contains(self, word: BitVector) -> bool:
-        if len(word) != self.n:
-            raise LengthError(f"word length {len(word)} != n = {self.n}")
-        return word.to_index() in self._codespace_set
 
 
-def _enumerate_codespace(generator: Gf2Matrix) -> list[BitVector]:
-    k, n = generator.rows, generator.cols
-    row_ints = [generator.row(i).to_index() for i in range(k)]
-    words = []
-    for m in range(1 << k):
-        w = 0
-        for j in range(k):
-            if (m >> j) & 1:
-                w ^= row_ints[j]
-        words.append(w)
-    return sorted(BitVector.from_index(w, n) for w in set(words))
-
-
-def _derive_parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix | None:
-    # H = [P^T | I] exists only for systematic G = [I | P].
-    k, n = generator.rows, generator.cols
-    if pivots != tuple(range(k)) or k == n:
-        return None
-    p = generator.to_array()[:, k:]
-    h = np.hstack([p.T, np.eye(n - k, dtype=np.uint8)])
+def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
+    # One check per non-pivot column f: c_f equals the sum of G[i, f] * c_{p_i},
+    # because an RREF codeword carries message bit i at pivot p_i. For a
+    # systematic generator [I | P] this is [P^T | I].
+    g = generator.to_array()
+    free = [f for f in range(generator.cols) if f not in pivots]
+    h = np.zeros((len(free), generator.cols), dtype=np.uint8)
+    for row, f in enumerate(free):
+        h[row, f] = 1
+        h[row, list(pivots)] = g[:, f]
     return Gf2Matrix.from_array(h)
 
 
 def _finish_code(generator: Gf2Matrix, pivots, kind, branch_bits, name) -> Code:
-    n = generator.cols
-    codespace = tuple(_enumerate_codespace(generator))
-    nonzero = [c for c in codespace if c.weight > 0]
-    d = min(c.weight for c in nonzero) if nonzero else 0
+    # Doubling from the last row makes it the least significant message bit;
+    # each earlier row has a more significant pivot, so the list stays sorted.
+    words = [0]
+    for i in reversed(range(generator.rows)):
+        row = generator.row(i).to_index()
+        words += [w ^ row for w in words]
     return Code(
-        n=n,
+        n=generator.cols,
         k=generator.rows,
-        d=d,
+        d=min((w.bit_count() for w in words[1:]), default=0),
         generator=generator,
-        parity_check=_derive_parity_check(generator, pivots),
-        codespace=codespace,
+        parity_check=_parity_check(generator, pivots),
+        codewords=tuple(words),
+        codespace=tuple(BitVector.from_index(w, generator.cols) for w in words),
         kind=kind,
         branch_bits=branch_bits,
         name=name,
-        _codespace_set=frozenset(c.to_index() for c in codespace),
     )
 
 
@@ -270,7 +262,8 @@ def code_from_codewords(
     """Build a code from an explicit, XOR-closed codeword list.
 
     A generator basis is extracted by row reduction; ``k`` is the rank. Raises
-    NotLinearError when the set is not a linear code.
+    NotLinearError when the set is not a linear code: a set of 2^k distinct
+    words whose span has dimension k is that span.
     """
     if not words:
         raise NotLinearError("empty codeword list")
@@ -285,20 +278,11 @@ def code_from_codewords(
     size = len(ints)
     if size & (size - 1):
         raise NotLinearError(f"|codespace| = {size} is not a power of two")
-    for a in ints:
-        for b in ints:
-            if (a ^ b) not in ints:
-                raise NotLinearError("codeword set is not closed under XOR")
-    if n % branch_bits:
-        raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n}")
-    stacked = Gf2Matrix.from_rows([w.bits for w in sorted(words)])
-    reduced, pivots = stacked.rref()
+    if branch_bits < 1 or n % branch_bits:
+        raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n} into sections")
+    reduced, pivots = Gf2Matrix.from_rows([w.bits for w in words]).rref()
     if (1 << reduced.rows) != size:
-        raise NotLinearError("rank inconsistent with codespace size")
-    if reduced.rows == 0:
-        # Degenerate zero code: keep an explicit 0 x n generator.
-        reduced = Gf2Matrix(0, n, ())
-        pivots = ()
+        raise NotLinearError("codeword set is not closed under XOR")
     return _finish_code(reduced, pivots, kind, branch_bits, name)
 
 
@@ -358,6 +342,8 @@ def code_from_json(obj: dict) -> Code:
     ``{"name": str, "codewords": ["0101...", ...]}`` with an optional
     ``"branch_bits"`` key for convolutional codeword lists.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("code JSON must be an object")
     name = obj.get("name", "")
     if "generator" in obj:
         gen = Gf2Matrix.from_rows(obj["generator"])
@@ -368,12 +354,17 @@ def code_from_json(obj: dict) -> Code:
             raise ValueError(f"declared k = {obj['k']} but generator has rank {code.k}")
         return code
     if "codewords" in obj:
+        if not isinstance(obj["codewords"], list):
+            raise ValueError("codewords must be a list of bit strings")
         words = [BitVector.from_string(s) for s in obj["codewords"]]
+        branch_bits = obj.get("branch_bits", 1)
+        if not isinstance(branch_bits, int):
+            raise ValueError(f"branch_bits must be an integer, got {branch_bits!r}")
         return code_from_codewords(
             words,
             name=name,
-            kind=obj.get("kind", "convolutional-terminated" if obj.get("branch_bits", 1) > 1 else "block"),
-            branch_bits=int(obj.get("branch_bits", 1)),
+            kind=obj.get("kind", "convolutional-terminated" if branch_bits > 1 else "block"),
+            branch_bits=branch_bits,
         )
     raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
 

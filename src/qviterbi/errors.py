@@ -17,10 +17,6 @@ class LengthError(QviterbiError):
     """Bit-vector lengths do not match the expected size."""
 
 
-class TrellisError(QviterbiError):
-    """Trellis construction is impossible with the available code data."""
-
-
 class EmptyMixerError(QviterbiError):
     """The code has no nonzero codewords, so no mixer terms exist."""
 

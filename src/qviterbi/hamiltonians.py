@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .codes import BitVector, Code, hamming_distance, min_weight_codewords
+from .codes import BitVector, Code, min_weight_codewords
 from .errors import EmptyMixerError, LengthError, NotDiagonalError
 
 CODEWORD_REGISTER = "codeword"
@@ -147,31 +147,6 @@ def eigenvalue_of(h: PauliHamiltonian, basis_state: BitVector) -> float:
                 sign = -sign
         value += coeff * sign
     return value
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    """Adjacency matrix of minimum-distance transitions between codewords.
-
-    Entry [j][k] is 1 exactly when codewords j and k are distinct and at
-    Hamming distance d; row/column order follows ``codewords``.
-    """
-
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
-    codewords: tuple[BitVector, ...]
-
-
-def build_g_matrix(code: Code) -> GMatrix:
-    words = code.codespace
-    entries = tuple(
-        tuple(
-            1 if (j != k and code.d > 0 and hamming_distance(words[j], words[k]) == code.d) else 0
-            for k in range(len(words))
-        )
-        for j in range(len(words))
-    )
-    return GMatrix(len(words), entries, words)
 
 
 def fourier_expand_xor(output_range: str = "pm1") -> dict[tuple[int, ...], float]:

@@ -20,8 +20,8 @@ costs O(k 2^k). The dense simulator in ``statevector`` costs O(|M| 2^n).
 
 The generator is in RREF with increasing pivots. So the leading bit in which
 two codewords differ is the pivot of the leading message bit in which they
-differ, and message order is ascending codeword order. Index i of every vector
-here is therefore the i-th word of ``code.codespace``.
+differ, and message order is ascending codeword order. ``code.codewords`` is
+listed in that order, so index i of every vector here is its i-th word.
 """
 from __future__ import annotations
 
@@ -62,10 +62,7 @@ class DecodeProblem:
             raise LengthError(f"received length {len(received)} != n = {code.n}")
         if code.n > MAX_WORD_BITS:
             raise ValueError(f"n = {code.n} exceeds the {MAX_WORD_BITS}-bit codeword limit")
-        # The last generator row is the least significant message bit.
-        words = np.zeros(1, dtype=np.int64)
-        for i in reversed(range(code.k)):
-            words = np.concatenate((words, words ^ code.generator.row(i).to_index()))
+        words = np.array(code.codewords, dtype=np.int64)
         min_weight = (popcounts(words, code.n) == code.d) & (words != 0)
         if not min_weight.any():
             raise EmptyMixerError("degenerate code has no nonzero codewords")

@@ -1,15 +1,16 @@
-"""Syndrome trellis construction and the classical minimum-path-metric decoder.
+"""The syndrome trellis of a code and the classical minimum-path-metric decoder.
 
-This is the exact classical reference that every variational decode is checked
-against. Ties are never broken: the decoder returns all codewords attaining
-the minimum metric.
+One construction serves every code, block or terminated convolutional: it reads
+the code's codeword list and parity-check matrix. This is the exact classical
+reference that every variational decode is checked against. Ties are never
+broken: the decoder returns all codewords attaining the minimum metric.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import BitVector, Code, hamming_distance
-from .errors import LengthError, TrellisError
+from .codes import BitVector, Code
+from .errors import LengthError
 
 
 @dataclass(frozen=True)
@@ -58,96 +59,40 @@ class Trellis:
 class DecodeResult:
     best_metric: int
     best_codewords: tuple[BitVector, ...]
-    per_codeword_metric: dict[BitVector, int]
-
-
-def _syndrome_trellis(code: Code) -> Trellis:
-    # State after t bits is the partial syndrome sum of c_i * h_i; valid paths
-    # start and end in the all-zero state.
-    h = code.parity_check.to_array()
-    n = code.n
-    width = h.shape[0]
-    col_ints = [BitVector(tuple(int(b) for b in h[:, t])).to_index() if width else 0 for t in range(n)]
-
-    forward = [{0}]
-    all_branches: list[list[Branch]] = []
-    for t in range(n):
-        layer = []
-        nxt = set()
-        for s in forward[t]:
-            for bit in (0, 1):
-                to = s ^ (col_ints[t] if bit else 0)
-                layer.append(Branch(t, s, (bit,), to))
-                nxt.add(to)
-        all_branches.append(layer)
-        forward.append(nxt)
-
-    # Backward prune: drop branches that cannot reach the final null state.
-    backward = [set() for _ in range(n + 1)]
-    backward[n] = {0}
-    for t in range(n - 1, -1, -1):
-        backward[t] = {br.from_state for br in all_branches[t] if br.to_state in backward[t + 1]}
-
-    node_layers = tuple(tuple(sorted(forward[t] & backward[t])) for t in range(n + 1))
-    branch_layers = tuple(
-        tuple(br for br in all_branches[t] if br.from_state in backward[t] and br.to_state in backward[t + 1])
-        for t in range(n)
-    )
-    return Trellis(code, 1, node_layers, branch_layers)
-
-
-def _prefix_trellis(code: Code) -> Trellis:
-    # Merge prefixes with identical suffix sets; every root-to-sink path of the
-    # merged graph is then exactly one codeword.
-    b = code.branch_bits
-    n = code.n
-    num_instants = n // b
-    words = [w.bits for w in code.codespace]
-
-    state_maps: list[dict[tuple[int, ...], int]] = []
-    for t in range(num_instants + 1):
-        cut = t * b
-        suffixes: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-        for w in words:
-            suffixes.setdefault(w[:cut], set()).add(w[cut:])
-        class_ids: dict[frozenset, int] = {}
-        prefix_state: dict[tuple[int, ...], int] = {}
-        for prefix in sorted(suffixes):
-            key = frozenset(suffixes[prefix])
-            if key not in class_ids:
-                class_ids[key] = len(class_ids)
-            prefix_state[prefix] = class_ids[key]
-        state_maps.append(prefix_state)
-
-    branch_layers = []
-    for t in range(num_instants):
-        seen = set()
-        layer = []
-        for w in words:
-            frm = state_maps[t][w[: t * b]]
-            to = state_maps[t + 1][w[: (t + 1) * b]]
-            label = w[t * b : (t + 1) * b]
-            key = (frm, label, to)
-            if key not in seen:
-                seen.add(key)
-                layer.append(Branch(t, frm, label, to))
-        branch_layers.append(tuple(layer))
-
-    node_layers = tuple(tuple(sorted(set(m.values()))) for m in state_maps)
-    return Trellis(code, b, node_layers, tuple(branch_layers))
 
 
 def build_trellis(code: Code) -> Trellis:
-    """Build the trellis of ``code``.
+    """Build the syndrome trellis of ``code`` from its codewords.
 
-    Block codes with a parity-check matrix get the syndrome trellis; otherwise
-    a path-merged prefix trellis is built from the explicit codeword list.
+    The word is cut into sections of ``code.branch_bits`` bits. The state at a
+    cut is the partial syndrome H c of the codeword's bits before the cut
+    (the later bits set to zero), so every codeword traces one path from
+    state 0 back to state 0, and only the branches of codeword paths are
+    built. Any path from 0 to 0 spells a word with zero syndrome, which is a
+    codeword, so the paths are exactly the codewords.
     """
-    if code.parity_check is not None and code.branch_bits == 1:
-        return _syndrome_trellis(code)
-    if code.codespace:
-        return _prefix_trellis(code)
-    raise TrellisError("code has neither parity-check data nor an enumerated codespace")
+    b = code.branch_bits
+    check_rows = [code.parity_check.row(i).to_index() for i in range(code.parity_check.rows)]
+
+    def syndrome(word: int) -> int:
+        s = 0
+        for row in check_rows:
+            s = (s << 1) | ((row & word).bit_count() & 1)
+        return s
+
+    states = [0] * len(code.codewords)
+    node_layers = [(0,)]
+    branch_layers = []
+    for t in range(code.n // b):
+        shift = code.n - (t + 1) * b
+        labels = [(w >> shift) & ((1 << b) - 1) for w in code.codewords]
+        step = {v: syndrome(v << shift) for v in set(labels)}
+        bits = {v: BitVector.from_index(v, b).bits for v in step}
+        nxt = [s ^ step[v] for s, v in zip(states, labels)]
+        branch_layers.append(tuple(Branch(t, s, bits[v], to) for s, v, to in set(zip(states, labels, nxt))))
+        node_layers.append(tuple(sorted(set(nxt))))
+        states = nxt
+    return Trellis(code, b, tuple(node_layers), tuple(branch_layers))
 
 
 def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
@@ -186,16 +131,15 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
             backtrack(t - 1, br.from_state, br.bits + suffix)
 
     backtrack(trellis.num_instants, 0, ())
-    best = tuple(sorted(BitVector(p) for p in paths))
-    per_codeword = {c: hamming_distance(c, received) for c in code.codespace}
-    return DecodeResult(best_metric, best, per_codeword)
+    return DecodeResult(best_metric, tuple(sorted(BitVector(p) for p in paths)))
 
 
 def ml_brute_force(code: Code, received: BitVector) -> DecodeResult:
-    """Exhaustive distance scan over the codespace; independent of the trellis."""
+    """Exhaustive distance scan over the codewords; independent of the trellis."""
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
-    per_codeword = {c: hamming_distance(c, received) for c in code.codespace}
-    best_metric = min(per_codeword.values())
-    best = tuple(sorted(c for c, m in per_codeword.items() if m == best_metric))
-    return DecodeResult(best_metric, best, per_codeword)
+    r = received.to_index()
+    metrics = [(w ^ r).bit_count() for w in code.codewords]
+    best_metric = min(metrics)
+    best = tuple(BitVector.from_index(w, code.n) for w, m in zip(code.codewords, metrics) if m == best_metric)
+    return DecodeResult(best_metric, best)

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from qviterbi import builtin_code
+from qviterbi import Gf2Matrix, builtin_code
 
 # Reference data for the built-in codes, duplicated as literals so the tests
 # do not trust the library's own enumeration.
@@ -44,3 +45,34 @@ def conv_code():
 @pytest.fixture(scope="session")
 def all_builtins(lbc_321, lbc_633, conv_code):
     return {"lbc_321": lbc_321, "lbc_633": lbc_633, "conv_r12_m2": conv_code}
+
+
+def reed_muller_1(m):
+    points = range(1 << m)
+    return [[1] * (1 << m)] + [[(x >> b) & 1 for x in points] for b in range(m)]
+
+
+def _rank(rows):
+    return Gf2Matrix.from_rows(rows).rank()
+
+
+@st.composite
+def generators(draw, max_n=6, even_n=False):
+    """Full-rank generator matrices, systematic or not, with n <= max_n."""
+    n = draw(st.integers(1, max_n // 2).map(lambda h: 2 * h) if even_n else st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        parity = draw(st.lists(st.lists(st.integers(0, 1), min_size=n - k, max_size=n - k),
+                               min_size=k, max_size=k))
+        return [[int(i == j) for j in range(k)] + parity[i] for i in range(k)]
+    return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k)
+                .filter(lambda rows: _rank(rows) == k))
+
+
+def span_words(rows):
+    """Every XOR combination of the rows, as sorted bit strings."""
+    span = {0}
+    for row in rows:
+        word = int("".join(map(str, row)), 2)
+        span |= {w ^ word for w in span}
+    return [format(w, f"0{len(rows[0])}b") for w in sorted(span)]

@@ -1,9 +1,12 @@
 """The command-line contract: exit codes, byte-identical reports, --out, fail-fast limits."""
 import json
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from qviterbi import cli
+from conftest import reed_muller_1, span_words
 
 DECODE = ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2", "--seed", "3"]
 
@@ -18,6 +21,12 @@ def write_code(tmp_path, body):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(body))
     return str(path)
+
+
+class CodeFile(NamedTuple):
+    """A ``--code`` argument written to a JSON file when the test runs."""
+
+    body: object
 
 
 def test_decode_succeeds(capsys):
@@ -53,8 +62,13 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     ["oracle", "--code", "no_such_code", "--received", "111011"],
     ["oracle", "--code", "lbc_633", "--received", "111"],
     DECODE + ["--q", "0"],
+    ["oracle", "--code", CodeFile([1, 2]), "--received", "10"],
+    ["oracle", "--code", CodeFile({"generator": [1, 0]}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"codewords": ["00", 11]}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branch_bits": 0}), "--received", "10"],
 ])
-def test_configuration_errors_exit_2(argv, capsys):
+def test_configuration_errors_exit_2(argv, tmp_path, capsys):
+    argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
@@ -74,6 +88,25 @@ def test_zero_code_decode_exits_2(tmp_path, capsys):
     rc, _, err = run(["decode", "--code", source, "--received", "101", "--p", "1", "--q", "1"], capsys)
     assert rc == 2
     assert "no nonzero codewords" in err
+
+
+def test_rm_1_6_oracle_decodes_and_decode_refuses(tmp_path, capsys):
+    # RM(1,6) [64,7,32]: the oracle works on any n, the compiled decoder on n <= 63.
+    rows = reed_muller_1(6)
+    source = write_code(tmp_path, {"generator": rows})
+    received = "".join(map(str, np.random.default_rng(4).integers(0, 2, 64)))
+    distance = {w: sum(a != b for a, b in zip(w, received)) for w in span_words(rows)}
+    best = min(distance.values())
+    rc, out, _ = run(["oracle", "--code", source, "--received", received], capsys)
+    assert rc == 0
+    assert json.loads(out) == {
+        "best_metric": best,
+        "best_codewords": sorted(w for w, m in distance.items() if m == best),
+    }
+    rc, out, err = run(["decode", "--code", source, "--received", received, "--p", "1", "--q", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "n = 64" in err
 
 
 def test_dump_state_refused_before_training(tmp_path, monkeypatch, capsys):

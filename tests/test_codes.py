@@ -184,8 +184,6 @@ class TestCodeInvariants:
 
     def test_parity_check_is_bidirectional(self, name, all_builtins):
         code = all_builtins[name]
-        if code.parity_check is None:
-            pytest.skip("no parity-check matrix for this code")
         h = code.parity_check.to_array()
         members = {c.to_index() for c in code.codespace}
         for v in range(1 << code.n):

@@ -9,18 +9,30 @@ from qviterbi import (
     PauliHamiltonian,
     PauliString,
     build_cost_hamiltonian,
-    build_g_matrix,
     build_mixer_hamiltonian,
     code_from_codewords,
     eigenvalue_of,
     fourier_expand_xor,
     hamming_distance,
 )
+from qviterbi.problem import DecodeProblem, fwht
 from conftest import BUILTIN_NAMES
 
 
 def bv(s):
     return BitVector.from_string(s)
+
+
+def g_matrix(code):
+    """The paper's G matrix, read off the compiled mixer W diag(lambda) W / 2^k.
+
+    Rows and columns follow ``code.codespace``.
+    """
+    problem = DecodeProblem(code, BitVector.zero(code.n))
+    size = problem.codewords.size
+    g = np.array([fwht(fwht(e) * problem.spectrum) / size for e in np.eye(size)])
+    assert np.allclose(g, np.rint(g), atol=1e-12)
+    return np.rint(g).astype(int)
 
 
 def term_supports(h):
@@ -173,58 +185,56 @@ class TestMixerHamiltonian:
 
 
 class TestGMatrix:
+    """Min-distance adjacency between codewords, as the compiled mixer applies it."""
+
     def test_633_row_sums(self, lbc_633):
-        g = build_g_matrix(lbc_633)
-        assert g.dim == 8
-        assert all(sum(row) == 4 for row in g.entries)
+        g = g_matrix(lbc_633)
+        assert g.shape == (8, 8)
+        assert (g.sum(axis=1) == 4).all()
 
     def test_321_zero_row(self, lbc_321):
-        g = build_g_matrix(lbc_321)
-        zero_idx = g.codewords.index(bv("000"))
-        target_idx = g.codewords.index(bv("010"))
-        row = g.entries[zero_idx]
-        assert sum(row) == 1
-        assert row[target_idx] == 1
+        g = g_matrix(lbc_321)
+        words = lbc_321.codespace
+        row = g[words.index(bv("000"))]
+        assert row.sum() == 1
+        assert row[words.index(bv("010"))] == 1
 
     def test_zero_code(self):
-        g = build_g_matrix(code_from_codewords([BitVector.zero(3)]))
-        assert g.dim == 1
-        assert g.entries == ((0,),)
+        # The zero code has no minimum-weight word, so there is no mixer to compile.
+        with pytest.raises(EmptyMixerError):
+            g_matrix(code_from_codewords([BitVector.zero(3)]))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symmetric_zero_diagonal(self, name, all_builtins):
-        g = build_g_matrix(all_builtins[name])
-        for j in range(g.dim):
-            assert g.entries[j][j] == 0
-            for k in range(g.dim):
-                assert g.entries[j][k] == g.entries[k][j]
+        g = g_matrix(all_builtins[name])
+        assert (np.diag(g) == 0).all()
+        assert (g == g.T).all()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_mixer_restricted_to_codespace(self, name, all_builtins):
-        # The mixer's matrix elements between codewords must reproduce the
-        # minimum-distance adjacency exactly.
+        # The Pauli mixer's matrix elements between codewords must reproduce
+        # the compiled operator exactly.
         code = all_builtins[name]
-        g = build_g_matrix(code)
         h = build_mixer_hamiltonian(code)
         masks = {
             sum(1 << (code.n - 1 - q) for q in string.qubits)
             for _, string in h.terms
         }
-        index_of = {c.to_index(): i for i, c in enumerate(g.codewords)}
-        for j, cj in enumerate(g.codewords):
-            row = [0] * g.dim
+        index_of = {w: i for i, w in enumerate(code.codewords)}
+        expected = np.zeros((len(code.codewords),) * 2, dtype=int)
+        for j, w in enumerate(code.codewords):
             for mask in masks:
-                row[index_of[cj.to_index() ^ mask]] += 1
-            assert tuple(row) == g.entries[j]
+                expected[j, index_of[w ^ mask]] += 1
+        assert (g_matrix(code) == expected).all()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_entries_definition(self, name, all_builtins):
         code = all_builtins[name]
-        g = build_g_matrix(code)
-        for j in range(g.dim):
-            for k in range(g.dim):
-                expected = int(j != k and hamming_distance(g.codewords[j], g.codewords[k]) == code.d)
-                assert g.entries[j][k] == expected
+        g = g_matrix(code)
+        words = code.codespace
+        for j, a in enumerate(words):
+            for k, b in enumerate(words):
+                assert g[j, k] == int(j != k and hamming_distance(a, b) == code.d)
 
 
 class TestSerialization:

@@ -20,9 +20,7 @@ from qviterbi import (
 from qviterbi.engine import TWO_PI
 from qviterbi.problem import DecodeProblem, fwht
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
-from conftest import BUILTIN_NAMES
-
-MAX_N = 6
+from conftest import BUILTIN_NAMES, generators, reed_muller_1, span_words
 
 
 def scattered(problem, betas, gammas):
@@ -43,23 +41,6 @@ def assert_matches_dense(code, received, betas, gammas, full_register=False):
         assert allclose_up_to_global_phase(compiled, full.amplitudes, atol=1e-10)
 
 
-def _rank(rows):
-    return Gf2Matrix.from_rows(rows).rank()
-
-
-@st.composite
-def generators(draw):
-    """Full-rank generator matrices, systematic or not, with n <= MAX_N."""
-    n = draw(st.integers(1, MAX_N))
-    k = draw(st.integers(1, n))
-    if draw(st.booleans()):
-        parity = draw(st.lists(st.lists(st.integers(0, 1), min_size=n - k, max_size=n - k),
-                               min_size=k, max_size=k))
-        return [[int(i == j) for j in range(k)] + parity[i] for i in range(k)]
-    return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k)
-                .filter(lambda rows: _rank(rows) == k))
-
-
 @st.composite
 def decode_cases(draw):
     rows = draw(generators())
@@ -68,11 +49,7 @@ def decode_cases(draw):
         code = code_from_generator(Gf2Matrix.from_rows(rows))
     else:
         # The same code ingested as an explicit codeword list.
-        span = {0}
-        for row in rows:
-            word = int("".join(map(str, row)), 2)
-            span |= {w ^ word for w in span}
-        code = code_from_codewords([BitVector.from_index(w, n) for w in sorted(span)])
+        code = code_from_codewords([BitVector.from_string(w) for w in span_words(rows)])
     received = BitVector(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
     p = draw(st.integers(1, 3))
     angle = st.floats(0.0, TWO_PI, allow_nan=False)
@@ -91,11 +68,6 @@ def test_random_codes_match_dense_and_full_register(case):
 def cyclic_generator(poly, n):
     r = len(poly) - 1
     return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
-
-
-def reed_muller_1(m):
-    points = range(1 << m)
-    return [[1] * (1 << m)] + [[(x >> b) & 1 for x in points] for b in range(m)]
 
 
 @pytest.mark.parametrize("rows,nkd", [

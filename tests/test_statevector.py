@@ -121,7 +121,8 @@ class TestStatePreparation:
         bad = Code(
             n=2, k=2, d=1,
             generator=Gf2Matrix.from_rows([[1, 1], [1, 0]]),
-            parity_check=None,
+            parity_check=Gf2Matrix(0, 2, ()),
+            codewords=(0, 1, 2, 3),
             codespace=(bv("00"), bv("01"), bv("10"), bv("11")),
         )
         with pytest.raises(StatePrepError):

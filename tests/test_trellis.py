@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi import (
     BitVector,
-    Code,
     Gf2Matrix,
     LengthError,
-    TrellisError,
     build_trellis,
     code_from_codewords,
-    hamming_distance,
+    code_from_generator,
     ml_brute_force,
     viterbi_decode,
 )
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, generators, span_words
 
 
 def bv(s):
@@ -51,16 +51,6 @@ class TestBuildTrellis:
         code = all_builtins[name]
         assert build_trellis(code).path_count() == 1 << code.k
 
-    def test_missing_data_raises(self):
-        broken = Code(
-            n=2, k=0, d=0,
-            generator=Gf2Matrix(0, 2, ()),
-            parity_check=None,
-            codespace=(),
-        )
-        with pytest.raises(TrellisError):
-            build_trellis(broken)
-
 
 class TestViterbiDecode:
     def test_633_single_error(self, lbc_633):
@@ -83,13 +73,6 @@ class TestViterbiDecode:
     def test_length_mismatch(self, lbc_633):
         with pytest.raises(LengthError):
             viterbi_decode(build_trellis(lbc_633), bv("111"))
-
-    def test_per_codeword_metrics(self, lbc_633):
-        r = bv("111011")
-        result = viterbi_decode(build_trellis(lbc_633), r)
-        assert len(result.per_codeword_metric) == 8
-        for c, m in result.per_codeword_metric.items():
-            assert m == hamming_distance(c, r)
 
 
 class TestBruteForce:
@@ -128,3 +111,35 @@ def test_metric_bounded_by_received_weight(name, all_builtins):
     for _ in range(20):
         r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
         assert viterbi_decode(trellis, r).best_metric <= r.weight
+
+
+@st.composite
+def random_codes(draw):
+    """A generated code, built from its generator or from its codeword list
+    with 1- or 2-bit trellis sections, plus received words to decode."""
+    how = draw(st.sampled_from(["generator", "codewords", "sections"]))
+    rows = draw(generators(max_n=8, even_n=how == "sections"))
+    if how == "generator":
+        code = code_from_generator(Gf2Matrix.from_rows(rows))
+    else:
+        words = [bv(w) for w in span_words(rows)]
+        code = code_from_codewords(words, branch_bits=2 if how == "sections" else 1)
+    n = len(rows[0])
+    received = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    return rows, code, [BitVector(tuple(r)) for r in received]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_codes())
+def test_random_codes_trellis_matches_brute_force(case):
+    rows, code, received = case
+    g = np.array(rows, dtype=np.int64)
+    h = code.parity_check.to_array().astype(np.int64)
+    assert not (g @ h.T % 2).any()
+    assert h.shape == (code.n - code.k, code.n)
+    assert code.parity_check.rank() == code.n - code.k
+    trellis = build_trellis(code)
+    assert trellis.path_count() == 1 << code.k
+    assert trellis.node_layers[0] == trellis.node_layers[-1] == (0,)
+    for r in received:
+        assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
