@@ -8,6 +8,7 @@ internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -125,7 +126,7 @@ def cmd_compare(cfg: RunConfig, repetitions: int) -> str:
 def cmd_landscape(cfg: RunConfig, grid: int) -> str:
     rows = landscape_scan(cfg.code, cfg.received, cfg.p, grid)
     lines = ["beta,gamma,expectation"]
-    lines.extend(f"{b!r},{g!r},{e!r}" for b, g, e in rows)
+    lines.extend(",".join(repr(float(x)) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -170,8 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one serves every call in a process.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
         if args.command == "decode":

@@ -3,8 +3,10 @@
 Three training strategies are provided. The uniform strategy ("upo") shares a
 single (beta, gamma) pair across all layers, so the search stays 2-dimensional
 at any depth. The staged strategy ("fpo") optimizes one layer at a time with
-earlier layers frozen at their chosen values. The random baseline optimizes
-all 2p coordinates from random starts.
+earlier layers frozen at their chosen values; it computes the frozen layers'
+output once per stage, and each evaluation applies only the layer being
+optimized to it. The random baseline optimizes all 2p coordinates from random
+starts.
 
 Training, the final measurement and the landscape scan evaluate the circuit on
 a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
@@ -45,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 # Nelder-Mead settings: derivative-free, bounded iteration budget, simplex
 # tolerances on parameters and cost.
 _NM_OPTIONS = {"maxiter": 300, "xatol": 1e-4, "fatol": 1e-6}
+
+# Largest landscape grid, in (beta, gamma) rows.
+MAX_LANDSCAPE_ROWS = 1 << 20
 
 # Seed-split roles, combined with stage and draw indices.
 _ROLE_INIT = 1
@@ -193,14 +198,26 @@ class _Evaluator:
         self.stage = stage
         self.draw = draw
         self.calls = 0
+        # SeedSequence turns a list of ints below 2**32 into this uint32 array,
+        # one word each; building it once skips that per-call conversion.
+        path = (master, _ROLE_EVAL, stage, draw, 0)
+        self._entropy = np.array(path, dtype=np.uint32) if 0 <= master < 1 << 32 else None
 
-    def __call__(self, betas, gammas) -> float:
-        probs = self.problem.probabilities(betas, gammas)
+    def generator(self) -> np.random.Generator:
+        """The next evaluation's generator, ``default_rng(child_seed(master, EVAL, stage, draw, calls))``."""
+        if self._entropy is None:
+            seed = child_seed(self.master, _ROLE_EVAL, self.stage, self.draw, self.calls)
+        else:
+            self._entropy[-1] = self.calls
+            seed = np.random.SeedSequence(self._entropy).generate_state(1)
+        self.calls += 1
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+    def __call__(self, betas, gammas, start: np.ndarray | None = None) -> float:
+        probs = self.problem.probabilities(betas, gammas, start)
         if self.mode == "exact":
             return self.problem.expectation(probs)
-        seed = child_seed(self.master, _ROLE_EVAL, self.stage, self.draw, self.calls)
-        self.calls += 1
-        return self.problem.expectation_sampled(probs, self.shots, seed)
+        return self.problem.expectation_sampled(probs, self.shots, self.generator())
 
 
 def _optimize(objective, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -317,7 +334,9 @@ def train_fpo(
 
     At stage l the l-1 previously chosen pairs stay frozen and only
     (beta_l, gamma_l) is optimized, again as the best of q random starts.
-    The reported samples are the final stage's records.
+    The frozen layers' output is computed once per stage and is the start
+    state of every evaluation in it. The reported samples are the final
+    stage's records.
     """
     _check_training_args(p, q, shots)
     problem = DecodeProblem(code, received)
@@ -328,6 +347,7 @@ def train_fpo(
     best_expectation = math.nan
     for stage in range(p):
         base_b, base_g = tuple(fixed_b), tuple(fixed_g)
+        frozen = problem.amplitudes(base_b, base_g)
 
         def run_draw(j: int) -> DrawRecord:
             rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j))
@@ -335,7 +355,7 @@ def train_fpo(
             evaluator = _Evaluator(problem, mode, shots, seed, stage, j)
 
             def objective(v):
-                return evaluator(base_b + (v[0],), base_g + (v[1],))
+                return evaluator((v[0],), (v[1],), frozen)
 
             x, fx, ok = _optimize(objective, x0)
             return DrawRecord(
@@ -402,6 +422,8 @@ def landscape_scan(code: Code, received: BitVector, p: int, grid: int) -> np.nda
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if grid * grid > MAX_LANDSCAPE_ROWS:
+        raise ValueError(f"grid**2 = {grid * grid} rows exceeds the limit of {MAX_LANDSCAPE_ROWS}")
     problem = DecodeProblem(code, received)
     axis = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     rows = np.empty((grid * grid, 3), dtype=float)

@@ -80,18 +80,18 @@ def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadRes
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     fsim = np.array([f(vertex) for vertex in sim], dtype=float)
     # SciPy sorts twice here; argsort is not stable on ties, so neither is skipped.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]
@@ -120,7 +120,7 @@ def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadRes
                     sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     return NelderMeadResult(sim[0], float(np.min(fsim)), iterations < maxiter, iterations, nfev)

@@ -22,6 +22,13 @@ The generator is in RREF with increasing pivots. So the leading bit in which
 two codewords differ is the pivot of the leading message bit in which they
 differ, and message order is ascending codeword order. ``code.codewords`` is
 listed in that order, so index i of every vector here is its i-th word.
+
+Everything that does not depend on the angles is computed once per problem:
+the distances, the spectrum and the uniform start state. Within one call the
+two phase vectors of a layer are computed once per run of consecutive layers
+that share their (beta, gamma), so a shared-angle circuit pays for one pair of
+``exp`` calls at any depth. A caller that holds a circuit's first layers fixed
+passes their output as ``start`` and applies only the layers that follow.
 """
 from __future__ import annotations
 
@@ -53,8 +60,9 @@ class DecodeProblem:
     """One decode's circuit, compiled once: codewords, distances and mixer spectrum.
 
     ``codewords`` holds the codeword integers indexed by message, in ascending
-    order; ``distances`` their Hamming distances to the received word; and
-    ``spectrum`` the mixer's eigenvalues in the Walsh-Hadamard basis.
+    order; ``distances`` their Hamming distances to the received word;
+    ``spectrum`` the mixer's eigenvalues in the Walsh-Hadamard basis; and
+    ``start`` the uniform superposition the circuit starts from (read only).
     """
 
     def __init__(self, code: Code, received: BitVector):
@@ -71,34 +79,51 @@ class DecodeProblem:
         self.distances = popcounts(words ^ received.to_index(), code.n)
         self.spectrum = fwht(min_weight.astype(np.float64))
         self._cost_weights = code.n - 2 * self.distances
+        self.start = np.full(words.size, 1.0 / np.sqrt(words.size), dtype=np.complex128)
+        self.start.flags.writeable = False
 
-    def amplitudes(self, betas: Sequence[float], gammas: Sequence[float]) -> np.ndarray:
-        """Circuit output over the codewords: each layer applies the mixer, then the cost."""
+    def amplitudes(
+        self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Circuit output over the codewords: each layer applies the mixer, then the cost.
+
+        The layers act on ``start``, the output of earlier layers, if it is
+        given, else on the uniform start state; ``start`` is not modified.
+        """
         size = self.codewords.size
-        psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
+        psi = self.start if start is None else start
+        angles = None
         for beta, gamma in zip(betas, gammas):
-            psi = fwht(fwht(psi) * (np.exp(-1j * beta * self.spectrum) / size))
-            psi *= np.exp(1j * 0.5 * gamma * self._cost_weights)
-        return psi
+            if (beta, gamma) != angles:
+                angles = (beta, gamma)
+                mixer_phase = np.exp(-1j * beta * self.spectrum) / size
+                cost_phase = np.exp(1j * 0.5 * gamma * self._cost_weights)
+            psi = fwht(fwht(psi) * mixer_phase)
+            psi *= cost_phase
+        return psi.copy() if angles is None else psi
 
-    def probabilities(self, betas: Sequence[float], gammas: Sequence[float]) -> np.ndarray:
-        return np.abs(self.amplitudes(betas, gammas)) ** 2
+    def probabilities(
+        self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
+    ) -> np.ndarray:
+        return np.abs(self.amplitudes(betas, gammas, start)) ** 2
 
     def expectation(self, probs: np.ndarray) -> float:
         """Exact cost expectation: sum over codewords of prob * distance."""
         return float(np.dot(probs, self.distances))
 
-    def sample(self, probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    def sample(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> np.ndarray:
         """Seeded multinomial counts over the codewords.
 
-        The dense simulator samples all 2^n basis states in ascending order.
-        numpy's multinomial draws nothing for a zero-probability category, so
-        the same seed gives the same counts on the codewords.
+        ``seed`` is a seed for ``numpy.random.default_rng`` or a generator to
+        draw from. The dense simulator samples all 2^n basis states in
+        ascending order. numpy's multinomial draws nothing for a
+        zero-probability category, so the same seed gives the same counts on
+        the codewords.
         """
         rng = np.random.default_rng(seed)
         return rng.multinomial(shots, probs / probs.sum())
 
-    def expectation_sampled(self, probs: np.ndarray, shots: int, seed: int) -> float:
+    def expectation_sampled(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> float:
         """Cost expectation estimated from a seeded finite-shot measurement."""
         return int(np.dot(self.sample(probs, shots, seed), self.distances)) / shots
 

@@ -1,12 +1,17 @@
 """The command-line contract: exit codes, byte-identical reports, --out, fail-fast limits."""
 import json
+import os
+import subprocess
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from qviterbi import cli
+from qviterbi import BitVector, builtin_code, cli, landscape_scan
 from conftest import reed_muller_1, span_words
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 DECODE = ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2", "--seed", "3"]
 
@@ -66,6 +71,8 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     ["oracle", "--code", CodeFile({"generator": [1, 0]}), "--received", "10"],
     ["oracle", "--code", CodeFile({"codewords": ["00", 11]}), "--received", "10"],
     ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branch_bits": 0}), "--received", "10"],
+    DECODE + ["--mode", "sampled", "--seed", "-1"],
+    ["landscape", "--code", "lbc_321", "--received", "011", "--grid", "200000"],
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]
@@ -73,6 +80,30 @@ def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_parse_failure_leaves_later_calls_as_in_a_fresh_process(capsys):
+    # The parser is built once per process; a failed parse must not change it.
+    with pytest.raises(SystemExit) as failed:
+        cli.main(["decode", "--code", "lbc_633", "--received", "111011", "--strategy", "fpo", "--p", "x"])
+    assert failed.value.code == 2
+    argv = ["decode", "--code", "lbc_633", "--received", "111011", "--q", "1", "--mode", "sampled"]
+    rc, out, _ = run(argv, capsys)
+    fresh = subprocess.run([sys.executable, "-m", "qviterbi.cli", *argv], env={**os.environ, "PYTHONPATH": SRC},
+                           capture_output=True, text=True, timeout=120)
+    assert rc == fresh.returncode == 0
+    assert out == fresh.stdout
+    assert json.loads(out)["strategy"] == "upo"
+
+
+def test_landscape_csv_holds_the_scanned_floats(capsys):
+    rc, out, _ = run(["landscape", "--code", "lbc_321", "--received", "011", "--p", "2", "--grid", "5"], capsys)
+    assert rc == 0
+    header, *lines = out.splitlines()
+    assert header == "beta,gamma,expectation"
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    expected = landscape_scan(builtin_code("lbc_321"), BitVector.from_string("011"), 2, 5)
+    assert rows == expected.tolist()
 
 
 def test_unwritable_out_exits_2(capsys):

@@ -17,7 +17,8 @@ from qviterbi import (
     train_random,
     train_upo,
 )
-from qviterbi.engine import TWO_PI, child_seed
+from qviterbi.engine import _ROLE_EVAL, TWO_PI, _Evaluator, child_seed
+from qviterbi.problem import DecodeProblem
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
 from conftest import BUILTIN_NAMES
 
@@ -260,6 +261,21 @@ class TestSeedSplit:
     def test_child_seed_deterministic(self):
         assert child_seed(7, 1, 2) == child_seed(7, 1, 2)
         assert child_seed(7, 1, 2) != child_seed(7, 1, 3)
+
+    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_evaluation_generator_equals_child_seed_stream(self, master, lbc_633):
+        # Masters below 2**32 take the prebuilt uint32 entropy, the rest the list form.
+        problem = DecodeProblem(lbc_633, bv("111011"))
+        probs = problem.probabilities((0.4, 1.3), (2.1, 0.6))
+        evaluator = _Evaluator(problem, "sampled", 500, master, stage=1, draw=3)
+        assert (evaluator._entropy is not None) == (master < 2**32)
+        for call in range(3):
+            seed = child_seed(master, _ROLE_EVAL, 1, 3, call)
+            fast = evaluator.generator()
+            assert fast.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+            assert np.array_equal(problem.sample(probs, 500, fast), problem.sample(probs, 500, seed))
+        assert evaluator((0.4, 1.3), (2.1, 0.6)) == problem.expectation_sampled(
+            probs, 500, child_seed(master, _ROLE_EVAL, 1, 3, 3))
 
     def test_json_round_trip_shape(self, lbc_633):
         result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)

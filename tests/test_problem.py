@@ -65,6 +65,51 @@ def test_random_codes_match_dense_and_full_register(case):
     assert_matches_dense(code, received, betas, gammas, full_register=True)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(decode_cases())
+def test_frozen_prefix_start_equals_full_recomputation(case):
+    # FPO's evaluations apply their last layer to the frozen layers' output.
+    code, received, betas, gammas = case
+    problem = DecodeProblem(code, received)
+    full = problem.probabilities(betas, gammas)
+    for cut in range(len(betas)):
+        frozen = problem.amplitudes(betas[:cut], gammas[:cut])
+        assert np.array_equal(problem.probabilities(betas[cut:], gammas[cut:], frozen), full)
+        assert np.array_equal(frozen, problem.amplitudes(betas[:cut], gammas[:cut]))
+
+
+def per_layer_amplitudes(problem, betas, gammas):
+    """Reference circuit in which every layer computes its phase vectors afresh."""
+    size = problem.codewords.size
+    psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
+    weights = problem.n - 2 * problem.distances
+    for beta, gamma in zip(betas, gammas):
+        psi = fwht(fwht(psi) * (np.exp(-1j * beta * problem.spectrum) / size))
+        psi *= np.exp(1j * 0.5 * gamma * weights)
+    return psi
+
+
+@pytest.mark.parametrize("betas,gammas", [
+    ((0.7,) * 4, (2.3,) * 4),  # uniform angles
+    ((0.7, 1.1, 5.2), (2.3, 0.4, 3.9)),  # every layer different
+    ((0.7, 0.7, 0.7), (2.3, 4.0, 2.3)),  # same beta, gamma changes
+    ((0.7, 0.7, 1.1, 0.7), (2.3, 2.3, 0.4, 2.3)),  # a pair comes back after another
+])
+def test_shared_phases_equal_per_layer_recomputation(betas, gammas, conv_code):
+    problem = DecodeProblem(conv_code, BitVector.from_string("1101100111"))
+    assert np.array_equal(problem.amplitudes(betas, gammas), per_layer_amplitudes(problem, betas, gammas))
+
+
+def test_start_state_is_left_unchanged(lbc_633):
+    problem = DecodeProblem(lbc_633, BitVector.from_string("111011"))
+    before = problem.start.copy()
+    empty = problem.amplitudes((), ())
+    empty[0] = 0.0
+    problem.amplitudes((0.3, 0.3), (1.2, 1.2))
+    assert np.array_equal(problem.start, before)
+    assert np.array_equal(problem.start, per_layer_amplitudes(problem, (), ()))
+
+
 def cyclic_generator(poly, n):
     r = len(poly) - 1
     return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
