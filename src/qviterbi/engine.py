@@ -10,10 +10,14 @@ starts.
 
 Training, the final measurement and the landscape scan evaluate the circuit on
 a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
-an evaluation takes microseconds. At that size worker threads only contend for
-the interpreter lock, so the draws run one after another. ``run_pqc`` and the
-``expectation_*`` functions keep the dense statevector path as the reference
-that tests and state dumps use.
+an evaluation takes microseconds: for k up to ``problem.DENSE_WALSH_MAX_K``
+each of its transforms is one single-threaded matrix product, above that a
+butterfly. At that size worker threads only contend for the interpreter lock,
+so the draws run one after another. The final measurement reads the ML optimum and its codewords off the
+problem's distance vector, which already holds every codeword's distance.
+``run_pqc`` and the ``expectation_*`` functions keep the dense statevector path
+as the reference that tests and state dumps use; ``trellis.ml_brute_force``
+stays the tests' independent oracle.
 
 All randomness flows from one master seed through counter-based splits, so a
 run is reproducible bit for bit.
@@ -40,7 +44,7 @@ from .statevector import (
     prepare_full_register,
     prepare_uniform_codespace,
 )
-from .trellis import ml_brute_force
+from .trellis import ml_brute_force  # noqa: F401 - perfbench/spans.py wraps this name
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,8 +238,6 @@ def _best_index(records: list[DrawRecord]) -> int:
 def _finish(
     strategy: str,
     problem: DecodeProblem,
-    code: Code,
-    received: BitVector,
     records: list[DrawRecord],
     best_params: QaoaParams,
     best_expectation: float,
@@ -243,14 +245,13 @@ def _finish(
     seed: int,
     mode: str,
 ) -> TrainingResult:
-    oracle = ml_brute_force(code, received)
-    f_min = oracle.best_metric
+    # The ML optimum and its codewords, read off the distances the problem holds.
+    f_min = int(problem.distances.min())
     ratio = (best_expectation / f_min) if f_min > 0 else None
 
     probs = problem.probabilities(best_params.betas, best_params.gammas)
     counts = problem.sample(probs, shots, child_seed(seed, _ROLE_MEASURE))
-    optimal = [c.to_index() for c in oracle.best_codewords]
-    hits = int(counts[np.isin(problem.codewords, optimal)].sum())
+    hits = int(counts[problem.distances == f_min].sum())
 
     if mode == "exact":
         weights = probs.tolist()
@@ -317,7 +318,7 @@ def train_upo(
 
     records = [run_draw(j) for j in range(q)]
     best = records[_best_index(records)]
-    return _finish("UPO", problem, code, received, records, best.final_params, best.expectation,
+    return _finish("UPO", problem, records, best.final_params, best.expectation,
                    shots, seed, mode)
 
 
@@ -372,7 +373,7 @@ def train_fpo(
         best_expectation = best.expectation
 
     best_params = QaoaParams(tuple(fixed_b), tuple(fixed_g))
-    return _finish("FPO", problem, code, received, records, best_params, best_expectation,
+    return _finish("FPO", problem, records, best_params, best_expectation,
                    shots, seed, mode)
 
 
@@ -407,7 +408,7 @@ def train_random(
 
     records = [run_draw(j) for j in range(q)]
     best = records[_best_index(records)]
-    return _finish("RANDOM", problem, code, received, records, best.final_params, best.expectation,
+    return _finish("RANDOM", problem, records, best.final_params, best.expectation,
                    shots, seed, mode)
 
 

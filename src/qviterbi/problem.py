@@ -15,8 +15,28 @@ every such operator. With W the unnormalised Walsh-Hadamard matrix
     H_M = W diag(lambda) W / 2^k,   lambda_t = sum_{mu in M} (-1)^popcount(t & mu),
 
 and lambda is the Walsh-Hadamard transform of M's indicator vector. One layer
-is then two fast transforms and two diagonal phases on 2^k amplitudes, which
-costs O(k 2^k). The dense simulator in ``statevector`` costs O(|M| 2^n).
+is then two transforms W and two diagonal phases on 2^k amplitudes. The dense
+simulator in ``statevector`` costs O(|M| 2^n).
+
+W has two implementations, and each problem picks one by k. Up to
+``DENSE_WALSH_MAX_K`` it is one product with the +-1 Sylvester matrix, O(4^k)
+work in a single numpy call, the matrix built once per k on first use. Above
+it is the butterfly ``fwht``, O(k 2^k) work in k numpy stages, whose cost at
+these sizes is its per-stage call overhead. The product must stay on one
+thread: from k = 6 OpenBLAS runs a complex matrix-vector product on several
+threads, whose spin-waiting doubled the process's CPU time per decode request,
+and a run of such calls sometimes took ~15 ms each. So for k = 6 to 8 the
+product is a real matrix times the (2^k, 2) real view of the vector, which
+OpenBLAS keeps on one thread. One mixer pass (transform, phase, transform) was
+timed with ``timeit`` on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4, OpenBLAS
+0.3.31), best of 5 in each of two fresh processes, in microseconds:
+
+    k                 1-3     4      5      6      7      8      9     10
+    butterfly        8-26   42-45  47-62  67-75    95   86-96  122-171  169-226
+    complex product   3-4     4      4-5   ~15000 (two threads)
+    real product      8-9     8      9     11-12  13-16  32-35  135-152 ~16000
+
+The transforms agree to rounding: for a unit vector they differ by about 1e-16.
 
 The generator is in RREF with increasing pivots. So the leading bit in which
 two codewords differ is the pivot of the leading message bit in which they
@@ -32,7 +52,8 @@ passes their output as ``start`` and applies only the layers that follow.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -40,6 +61,8 @@ from .codes import BitVector, Code, popcounts
 from .errors import EmptyMixerError, LengthError
 
 MAX_WORD_BITS = 63  # codewords are held as int64
+DENSE_WALSH_MAX_K = 8  # largest k whose transform is one matrix product
+COMPLEX_PRODUCT_MAX_K = 5  # largest k whose complex product OpenBLAS keeps on one thread
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -56,13 +79,46 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def walsh_matrix(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester matrix, entry (s, t) = (-1)^popcount(s & t); read only."""
+    w = np.ones((1, 1))
+    for _ in range(k):
+        w = np.block([[w, w], [w, -w]])
+    w.flags.writeable = False
+    return w
+
+
+@functools.cache
+def walsh_transform(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The unnormalised Walsh-Hadamard transform of contiguous complex vectors of length 2^k.
+
+    One product with ``walsh_matrix(k)`` up to ``DENSE_WALSH_MAX_K``, complex up
+    to ``COMPLEX_PRODUCT_MAX_K`` and on the real view above it; the butterfly
+    ``fwht`` beyond. The module docstring gives the measurements.
+    """
+    if k > DENSE_WALSH_MAX_K:
+        return fwht
+    w = walsh_matrix(k)
+    if k <= COMPLEX_PRODUCT_MAX_K:
+        complex_w = w.astype(np.complex128)
+        complex_w.flags.writeable = False
+        return complex_w.__matmul__
+
+    def real_product(values: np.ndarray) -> np.ndarray:
+        return (w @ values.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+    return real_product
+
+
 class DecodeProblem:
     """One decode's circuit, compiled once: codewords, distances and mixer spectrum.
 
     ``codewords`` holds the codeword integers indexed by message, in ascending
     order; ``distances`` their Hamming distances to the received word;
-    ``spectrum`` the mixer's eigenvalues in the Walsh-Hadamard basis; and
-    ``start`` the uniform superposition the circuit starts from (read only).
+    ``spectrum`` the mixer's eigenvalues in the Walsh-Hadamard basis;
+    ``start`` the uniform superposition the circuit starts from (read only);
+    and ``transform`` the Walsh-Hadamard transform chosen for its size.
     """
 
     def __init__(self, code: Code, received: BitVector):
@@ -81,6 +137,7 @@ class DecodeProblem:
         self._cost_weights = code.n - 2 * self.distances
         self.start = np.full(words.size, 1.0 / np.sqrt(words.size), dtype=np.complex128)
         self.start.flags.writeable = False
+        self.transform = walsh_transform(code.k)
 
     def amplitudes(
         self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
@@ -98,7 +155,7 @@ class DecodeProblem:
                 angles = (beta, gamma)
                 mixer_phase = np.exp(-1j * beta * self.spectrum) / size
                 cost_phase = np.exp(1j * 0.5 * gamma * self._cost_weights)
-            psi = fwht(fwht(psi) * mixer_phase)
+            psi = self.transform(self.transform(psi) * mixer_phase)
             psi *= cost_phase
         return psi.copy() if angles is None else psi
 

@@ -220,6 +220,17 @@ class TestTrainRandom:
         assert result.best_expectation <= mean
 
 
+@pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
+def test_solution_hits_count_every_ml_codeword(trainer, lbc_321):
+    # Two codewords tie at the minimum distance; the sampled distribution holds raw counts.
+    r = bv("011")
+    oracle = ml_brute_force(lbc_321, r)
+    assert len(oracle.best_codewords) == 2
+    result = trainer(lbc_321, r, p=2, q=2, shots=500, seed=7, mode="sampled")
+    assert result.solution_hits == sum(result.distribution.get(str(c), 0) for c in oracle.best_codewords)
+    assert result.approximation_ratio == result.best_expectation / oracle.best_metric
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_variational_lower_bound(name, all_builtins):
     code = all_builtins[name]

@@ -1,4 +1,8 @@
 """The compiled codespace simulator against the dense statevector reference."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from qviterbi import (
     train_upo,
 )
 from qviterbi.engine import TWO_PI
-from qviterbi.problem import DecodeProblem, fwht
+from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transform
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
 from conftest import BUILTIN_NAMES, generators, reed_muller_1, span_words
 
@@ -84,7 +88,7 @@ def per_layer_amplitudes(problem, betas, gammas):
     psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
     weights = problem.n - 2 * problem.distances
     for beta, gamma in zip(betas, gammas):
-        psi = fwht(fwht(psi) * (np.exp(-1j * beta * problem.spectrum) / size))
+        psi = problem.transform(problem.transform(psi) * (np.exp(-1j * beta * problem.spectrum) / size))
         psi *= np.exp(1j * 0.5 * gamma * weights)
     return psi
 
@@ -118,10 +122,12 @@ def cyclic_generator(poly, n):
 @pytest.mark.parametrize("rows,nkd", [
     (cyclic_generator([1, 0, 0, 0, 1, 0, 1, 1, 1], 15), (15, 7, 5)),  # BCH, 1 + x^4 + x^6 + x^7 + x^8
     (reed_muller_1(4), (16, 5, 8)),
+    (cyclic_generator([1, 1, 0, 0, 1], 15), (15, 11, 3)),  # Hamming, 1 + x + x^4: the butterfly path
 ])
 def test_wide_codes_match_dense(rows, nkd):
     code = code_from_generator(Gf2Matrix.from_rows(rows))
     assert (code.n, code.k, code.d) == nkd
+    assert (DecodeProblem(code, BitVector.zero(code.n)).transform is fwht) == (code.k > DENSE_WALSH_MAX_K)
     rng = np.random.default_rng(5)
     received = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
     for p in (1, 2):
@@ -152,6 +158,34 @@ def test_fwht_is_hadamard_matrix():
         h = np.block([[h, h], [h, -h]])
     x = np.random.default_rng(0).normal(size=16)
     assert np.allclose(fwht(x), h @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, DENSE_WALSH_MAX_K + 2))
+def test_dense_transform_equals_butterfly(k):
+    size = 1 << k
+    w = walsh_matrix(k)
+    assert not w.flags.writeable
+    assert np.array_equal(w @ w, size * np.eye(size))
+    s, t = np.indices((size, size))
+    assert np.array_equal(w, (-1.0) ** np.bitwise_count(s & t))
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x /= np.linalg.norm(x)
+    assert np.max(np.abs(w @ x - fwht(x))) <= 1e-13
+    assert np.max(np.abs(walsh_transform(k)(x) - fwht(x))) <= 1e-13
+    assert (walsh_transform(k) is fwht) == (k > DENSE_WALSH_MAX_K)
+
+
+def test_import_builds_no_walsh_matrix():
+    code = (
+        "import qviterbi, qviterbi.cli\n"
+        "from qviterbi.problem import walsh_matrix, walsh_transform\n"
+        "print(walsh_matrix.cache_info().currsize, walsh_transform.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_sampled_counts_match_dense_measurement(conv_code):
