@@ -13,22 +13,29 @@ a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
 an evaluation takes microseconds: for k up to ``problem.DENSE_WALSH_MAX_K``
 each of its transforms is one single-threaded matrix product, above that a
 butterfly. At that size worker threads only contend for the interpreter lock,
-so the draws run one after another. The final measurement reads the ML optimum and its codewords off the
-problem's distance vector, which already holds every codeword's distance.
+so the draws run one after another. The final measurement reads the ML
+optimum and its codewords off the problem's distance vector, which already
+holds every codeword's distance.
 ``run_pqc`` and the ``expectation_*`` functions keep the dense statevector path
 as the reference that tests and state dumps use; ``trellis.ml_brute_force``
 stays the tests' independent oracle.
 
 All randomness flows from one master seed through counter-based splits, so a
-run is reproducible bit for bit.
+run is reproducible bit for bit. In sampled mode each evaluation of a draw
+gets the generator ``default_rng(child_seed(master, EVAL, stage, draw, c))``
+for its call counter c; ``_seedseq`` derives the PCG64 seed words of many
+counters in one vectorised pass of numpy's SeedSequence hash, so a generator
+costs about 3 us instead of 25 (timeit, 2-vCPU VM).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._seedseq import pcg64_seed_words
 from .codes import BitVector, Code
 from .errors import LengthError
 from .hamiltonians import build_mixer_hamiltonian
@@ -51,6 +58,12 @@ TWO_PI = 2.0 * math.pi
 # Nelder-Mead settings: derivative-free, bounded iteration budget, simplex
 # tolerances on parameters and cost.
 _NM_OPTIONS = {"maxiter": 300, "xatol": 1e-4, "fatol": 1e-6}
+
+# Evaluations whose sampled-mode seeds are derived together when a draw starts.
+# Noisy draws run to maxiter, at about 2.7 evaluations per iteration in two
+# dimensions (at most 849 per draw in the first 200 decode_sampled requests of
+# the benchmark); a draw that runs past the block doubles it.
+_FIRST_BLOCK = 3 * _NM_OPTIONS["maxiter"]
 
 # Largest landscape grid, in (beta, gamma) rows.
 MAX_LANDSCAPE_ROWS = 1 << 20
@@ -138,6 +151,25 @@ class TrainingResult:
         }
 
 
+@functools.cache
+def _fixed_seed_type() -> type:
+    """An ``ISeedSequence`` that hands over seed words computed in advance.
+
+    Defined on first use, because importing ``numpy.random`` costs 9-15 ms.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly the four uint64 words held.
+            return self.words
+
+    return FixedSeed
+
+
 def child_seed(master: int, *path: int) -> int:
     """Deterministic 32-bit seed derived from a master seed and an index path."""
     return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])
@@ -198,24 +230,24 @@ class _Evaluator:
         self.problem = problem
         self.mode = mode
         self.shots = shots
-        self.master = master
-        self.stage = stage
-        self.draw = draw
+        self.path = (master, _ROLE_EVAL, stage, draw)
         self.calls = 0
-        # SeedSequence turns a list of ints below 2**32 into this uint32 array,
-        # one word each; building it once skips that per-call conversion.
-        path = (master, _ROLE_EVAL, stage, draw, 0)
-        self._entropy = np.array(path, dtype=np.uint32) if 0 <= master < 1 << 32 else None
+        self._words = np.empty((0, 4), dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
-        """The next evaluation's generator, ``default_rng(child_seed(master, EVAL, stage, draw, calls))``."""
-        if self._entropy is None:
-            seed = child_seed(self.master, _ROLE_EVAL, self.stage, self.draw, self.calls)
-        else:
-            self._entropy[-1] = self.calls
-            seed = np.random.SeedSequence(self._entropy).generate_state(1)
+        """The next evaluation's generator.
+
+        Call c returns a generator whose state equals that of
+        ``default_rng(child_seed(master, EVAL, stage, draw, c))``, so it draws
+        the same stream. Its seed words come from a block computed for many
+        calls at once; numpy still seeds PCG64 from them.
+        """
+        c = self.calls
+        if c == len(self._words):
+            more = max(c, _FIRST_BLOCK)
+            self._words = np.concatenate([self._words, pcg64_seed_words(self.path, np.arange(c, c + more))])
         self.calls += 1
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        return np.random.Generator(np.random.PCG64(_fixed_seed_type()(self._words[c])))
 
     def __call__(self, betas, gammas, start: np.ndarray | None = None) -> float:
         probs = self.problem.probabilities(betas, gammas, start)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi import (
     BitVector,
@@ -17,7 +19,8 @@ from qviterbi import (
     train_random,
     train_upo,
 )
-from qviterbi.engine import _ROLE_EVAL, TWO_PI, _Evaluator, child_seed
+from qviterbi._seedseq import pcg64_seed_words
+from qviterbi.engine import _FIRST_BLOCK, _ROLE_EVAL, TWO_PI, _Evaluator, _fixed_seed_type, child_seed
 from qviterbi.problem import DecodeProblem
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
 from conftest import BUILTIN_NAMES
@@ -275,18 +278,55 @@ class TestSeedSplit:
 
     @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 3])
     def test_evaluation_generator_equals_child_seed_stream(self, master, lbc_633):
-        # Masters below 2**32 take the prebuilt uint32 entropy, the rest the list form.
+        # Seed words are derived one block at a time, the first on the first
+        # call; calls on both sides of each block boundary keep the stream.
         problem = DecodeProblem(lbc_633, bv("111011"))
         probs = problem.probabilities((0.4, 1.3), (2.1, 0.6))
         evaluator = _Evaluator(problem, "sampled", 500, master, stage=1, draw=3)
-        assert (evaluator._entropy is not None) == (master < 2**32)
-        for call in range(3):
-            seed = child_seed(master, _ROLE_EVAL, 1, 3, call)
+        assert len(evaluator._words) == 0
+        first = _FIRST_BLOCK
+        # Call -> seed words derived once it has returned.
+        derived = {0: first, 2: first, first - 1: first, first: 2 * first,
+                   2 * first - 1: 2 * first, 2 * first: 4 * first}
+        for call in range(max(derived) + 1):
             fast = evaluator.generator()
-            assert fast.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-            assert np.array_equal(problem.sample(probs, 500, fast), problem.sample(probs, 500, seed))
+            if call in derived:
+                assert len(evaluator._words) == derived[call]
+                seed = child_seed(master, _ROLE_EVAL, 1, 3, call)
+                assert fast.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+                assert np.array_equal(problem.sample(probs, 500, fast), problem.sample(probs, 500, seed))
         assert evaluator((0.4, 1.3), (2.1, 0.6)) == problem.expectation_sampled(
-            probs, 500, child_seed(master, _ROLE_EVAL, 1, 3, 3))
+            probs, 500, child_seed(master, _ROLE_EVAL, 1, 3, max(derived) + 1))
+
+    def test_exact_mode_derives_no_seeds(self, lbc_633):
+        problem = DecodeProblem(lbc_633, bv("111011"))
+        evaluator = _Evaluator(problem, "exact", 500, 5, stage=0, draw=0)
+        assert evaluator((0.4,), (2.1,)) == problem.expectation(problem.probabilities((0.4,), (2.1,)))
+        assert len(evaluator._words) == 0 and evaluator.calls == 0
+
+    def test_negative_master_raises(self, lbc_633):
+        evaluator = _Evaluator(DecodeProblem(lbc_633, bv("111011")), "sampled", 10, -1, stage=0, draw=0)
+        with pytest.raises(ValueError):
+            evaluator.generator()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        master=st.integers(0, 2**70 - 1),
+        stage=st.integers(0, 4999),
+        draw=st.integers(0, 4999),
+        counters=st.lists(st.integers(0, 4999), min_size=1, max_size=5),
+    )
+    def test_seed_words_equal_numpy_chain(self, master, stage, draw, counters):
+        words = pcg64_seed_words((master, _ROLE_EVAL, stage, draw), np.array(counters))
+        probs = np.array([0.1, 0.0, 0.25, 0.4, 0.25])
+        for row, c in zip(words, counters):
+            seed = child_seed(master, _ROLE_EVAL, stage, draw, c)
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            fast = np.random.PCG64(_fixed_seed_type()(row))
+            reference = np.random.default_rng(seed)
+            assert fast.state == reference.bit_generator.state
+            assert np.array_equal(np.random.Generator(fast).multinomial(300, probs),
+                                  reference.multinomial(300, probs))
 
     def test_json_round_trip_shape(self, lbc_633):
         result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)

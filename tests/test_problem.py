@@ -177,15 +177,17 @@ def test_dense_transform_equals_butterfly(k):
 
 
 def test_import_builds_no_walsh_matrix():
+    # Nor does it import numpy.random, which costs 9-15 ms.
     code = (
-        "import qviterbi, qviterbi.cli\n"
+        "import sys, qviterbi, qviterbi.cli\n"
         "from qviterbi.problem import walsh_matrix, walsh_transform\n"
-        "print(walsh_matrix.cache_info().currsize, walsh_transform.cache_info().currsize)\n"
+        "print(walsh_matrix.cache_info().currsize, walsh_transform.cache_info().currsize,\n"
+        "      'numpy.random' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "False"]
 
 
 def test_sampled_counts_match_dense_measurement(conv_code):
