@@ -340,33 +340,39 @@ def code_from_json(obj: dict) -> Code:
     Two shapes are accepted:
     ``{"name": str, "n": int, "k": int, "generator": [[0|1, ...], ...]}`` or
     ``{"name": str, "codewords": ["0101...", ...]}`` with an optional
-    ``"branch_bits"`` key for convolutional codeword lists.
+    ``"branch_bits"`` key for convolutional codeword lists. Either shape may
+    declare ``"n"`` and ``"k"``; a declared value must be an integer equal to
+    the built code's.
     """
     if not isinstance(obj, dict):
         raise ValueError("code JSON must be an object")
     name = obj.get("name", "")
     if "generator" in obj:
-        gen = Gf2Matrix.from_rows(obj["generator"])
-        code = code_from_generator(gen, name=name)
-        if "n" in obj and obj["n"] != code.n:
-            raise ValueError(f"declared n = {obj['n']} but generator has {code.n} columns")
-        if "k" in obj and obj["k"] != code.k:
-            raise ValueError(f"declared k = {obj['k']} but generator has rank {code.k}")
-        return code
-    if "codewords" in obj:
+        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]), name=name)
+    elif "codewords" in obj:
         if not isinstance(obj["codewords"], list):
             raise ValueError("codewords must be a list of bit strings")
         words = [BitVector.from_string(s) for s in obj["codewords"]]
-        branch_bits = obj.get("branch_bits", 1)
-        if not isinstance(branch_bits, int):
-            raise ValueError(f"branch_bits must be an integer, got {branch_bits!r}")
-        return code_from_codewords(
+        branch_bits = _json_int(obj, "branch_bits", 1)
+        code = code_from_codewords(
             words,
             name=name,
             kind=obj.get("kind", "convolutional-terminated" if branch_bits > 1 else "block"),
             branch_bits=branch_bits,
         )
-    raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
+    else:
+        raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
+    for key, built in (("n", code.n), ("k", code.k)):
+        if key in obj and _json_int(obj, key) != built:
+            raise ValueError(f"declared {key} = {obj[key]} but the code has {key} = {built}")
+    return code
+
+
+def _json_int(obj: dict, key: str, default: int | None = None) -> int:
+    value = obj.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_code(source: str) -> Code:

@@ -1,12 +1,12 @@
 """Layered circuit assembly, cost expectations, and parameter training.
 
-Three training strategies are provided. The uniform strategy ("upo") shares a
-single (beta, gamma) pair across all layers, so the search stays 2-dimensional
-at any depth. The staged strategy ("fpo") optimizes one layer at a time with
-earlier layers frozen at their chosen values; it computes the frozen layers'
-output once per stage, and each evaluation applies only the layer being
-optimized to it. The random baseline optimizes all 2p coordinates from random
-starts.
+The three training strategies are one staged loop, ``_train``: a round runs
+q Nelder-Mead draws over the angles of the layers it adds, with the layers
+earlier rounds chose frozen and their output computed once, and keeps the
+best draw. The uniform strategy ("upo") is one round of all p layers sharing
+one (beta, gamma) pair, so its search is 2-dimensional at any depth. The
+staged strategy ("fpo") is p rounds of one layer each. The random baseline is
+one round over all 2p coordinates.
 
 Training, the final measurement and the landscape scan evaluate the circuit on
 a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
@@ -16,9 +16,13 @@ butterfly. At that size worker threads only contend for the interpreter lock,
 so the draws run one after another. The final measurement reads the ML
 optimum and its codewords off the problem's distance vector, which already
 holds every codeword's distance.
+
 ``run_pqc`` and the ``expectation_*`` functions keep the dense statevector path
-as the reference that tests and state dumps use; ``trellis.ml_brute_force``
-stays the tests' independent oracle.
+as the reference that tests and state dumps use, and the benchmark re-scores
+reports with them (``perfbench/checks.py``). The ``statevector`` names imported
+here, ``minimize`` and ``trellis.ml_brute_force`` are looked up in this module
+because ``perfbench/spans.py`` wraps them here; ``ml_brute_force`` also stays
+the tests' independent oracle.
 
 All randomness flows from one master seed through counter-based splits, so a
 run is reproducible bit for bit. In sampled mode each evaluation of a draw
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,15 +98,15 @@ class QaoaParams:
     def p(self) -> int:
         return len(self.betas)
 
-    @classmethod
-    def uniform_params(cls, p: int, beta: float, gamma: float) -> QaoaParams:
-        return cls((float(beta),) * p, (float(gamma),) * p, uniform=True)
-
     def canonical(self) -> QaoaParams:
-        """Angles reduced modulo 2*pi (both unitaries are 2*pi-periodic)."""
+        """Angles reduced modulo 2*pi into [0, 2*pi) (both unitaries are 2*pi-periodic).
+
+        A tiny negative angle rounds to exactly 2*pi under one ``%``; the
+        second maps that to 0 and leaves every other value as it is.
+        """
         return QaoaParams(
-            tuple(float(b) % TWO_PI for b in self.betas),
-            tuple(float(g) % TWO_PI for g in self.gammas),
+            tuple(float(b) % TWO_PI % TWO_PI for b in self.betas),
+            tuple(float(g) % TWO_PI % TWO_PI for g in self.gammas),
             self.uniform,
         )
 
@@ -256,32 +261,20 @@ class _Evaluator:
         return self.problem.expectation_sampled(probs, self.shots, self.generator())
 
 
-def _optimize(objective, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    res = minimize(objective, x0, **_NM_OPTIONS)
-    return res.x, res.fun, res.success
-
-
-def _best_index(records: list[DrawRecord]) -> int:
-    # First record attaining the minimum keeps selection deterministic.
-    best = min(rec.expectation for rec in records)
-    return next(i for i, rec in enumerate(records) if rec.expectation == best)
-
-
 def _finish(
     strategy: str,
     problem: DecodeProblem,
     records: list[DrawRecord],
-    best_params: QaoaParams,
-    best_expectation: float,
+    best: DrawRecord,
     shots: int,
     seed: int,
     mode: str,
 ) -> TrainingResult:
     # The ML optimum and its codewords, read off the distances the problem holds.
     f_min = int(problem.distances.min())
-    ratio = (best_expectation / f_min) if f_min > 0 else None
+    ratio = (best.expectation / f_min) if f_min > 0 else None
 
-    probs = problem.probabilities(best_params.betas, best_params.gammas)
+    probs = problem.probabilities(best.final_params.betas, best.final_params.gammas)
     counts = problem.sample(probs, shots, child_seed(seed, _ROLE_MEASURE))
     hits = int(counts[problem.distances == f_min].sum())
 
@@ -295,8 +288,8 @@ def _finish(
 
     return TrainingResult(
         strategy=strategy,
-        best_params=best_params,
-        best_expectation=best_expectation,
+        best_params=best.final_params,
+        best_expectation=best.expectation,
         approximation_ratio=ratio,
         samples=tuple(records),
         distribution=distribution,
@@ -305,13 +298,43 @@ def _finish(
     )
 
 
-def _check_training_args(p: int, q: int, shots: int) -> None:
+def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots: int, seed: int, mode: str,
+           stages: int, dim: int, layers: Callable[[np.ndarray], tuple[Sequence[float], Sequence[float]]],
+           uniform: bool = False) -> TrainingResult:
+    """Best of q Nelder-Mead draws, in ``stages`` rounds that each add layers.
+
+    A round freezes the previous round's winning parameters as a prefix and
+    computes the prefix's output once; each evaluation applies only the new
+    layers ``layers(x) -> (betas, gammas)`` of a point x in ``dim``
+    coordinates. Draw j of round s starts from
+    ``default_rng(child_seed(seed, INIT, s, j)).uniform(0, 2*pi, dim)``. The
+    first record attaining a round's minimum wins, so selection is
+    deterministic; the reported samples are the last round's records.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
     if q < 1:
         raise ValueError("q must be at least 1")
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    problem = DecodeProblem(code, received)
+    prefix = QaoaParams((), ())
+    for stage in range(stages):
+        start = problem.amplitudes(prefix.betas, prefix.gammas)
+
+        def params(x) -> QaoaParams:
+            betas, gammas = layers(x)
+            return QaoaParams(prefix.betas + tuple(betas), prefix.gammas + tuple(gammas), uniform)
+
+        records = []
+        for j in range(q):
+            x0 = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j)).uniform(0.0, TWO_PI, dim)
+            evaluator = _Evaluator(problem, mode, shots, seed, stage, j)
+            res = minimize(lambda v: evaluator(*layers(v), start), x0, **_NM_OPTIONS)
+            records.append(DrawRecord(params(x0), params(res.x).canonical(), res.fun, res.success))
+        best = min(records, key=lambda rec: rec.expectation)
+        prefix = best.final_params
+    return _finish(strategy, problem, records, best, shots, seed, mode)
 
 
 def train_upo(
@@ -329,29 +352,8 @@ def train_upo(
     2-dimensional shared-parameter space; the draw with the lowest cost
     expectation wins.
     """
-    _check_training_args(p, q, shots)
-    problem = DecodeProblem(code, received)
-
-    def run_draw(j: int) -> DrawRecord:
-        rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, 0, j))
-        x0 = rng.uniform(0.0, TWO_PI, 2)
-        evaluator = _Evaluator(problem, mode, shots, seed, 0, j)
-
-        def objective(v):
-            return evaluator((v[0],) * p, (v[1],) * p)
-
-        x, fx, ok = _optimize(objective, x0)
-        return DrawRecord(
-            initial_params=QaoaParams.uniform_params(p, x0[0], x0[1]),
-            final_params=QaoaParams.uniform_params(p, x[0], x[1]).canonical(),
-            expectation=fx,
-            converged=ok,
-        )
-
-    records = [run_draw(j) for j in range(q)]
-    best = records[_best_index(records)]
-    return _finish("UPO", problem, records, best.final_params, best.expectation,
-                   shots, seed, mode)
+    return _train("UPO", code, received, p, q, shots, seed, mode, stages=1, dim=2,
+                  layers=lambda v: ((v[0],) * p, (v[1],) * p), uniform=True)
 
 
 def train_fpo(
@@ -367,46 +369,10 @@ def train_fpo(
 
     At stage l the l-1 previously chosen pairs stay frozen and only
     (beta_l, gamma_l) is optimized, again as the best of q random starts.
-    The frozen layers' output is computed once per stage and is the start
-    state of every evaluation in it. The reported samples are the final
-    stage's records.
+    The reported samples are the final stage's records.
     """
-    _check_training_args(p, q, shots)
-    problem = DecodeProblem(code, received)
-
-    fixed_b: list[float] = []
-    fixed_g: list[float] = []
-    records: list[DrawRecord] = []
-    best_expectation = math.nan
-    for stage in range(p):
-        base_b, base_g = tuple(fixed_b), tuple(fixed_g)
-        frozen = problem.amplitudes(base_b, base_g)
-
-        def run_draw(j: int) -> DrawRecord:
-            rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j))
-            x0 = rng.uniform(0.0, TWO_PI, 2)
-            evaluator = _Evaluator(problem, mode, shots, seed, stage, j)
-
-            def objective(v):
-                return evaluator((v[0],), (v[1],), frozen)
-
-            x, fx, ok = _optimize(objective, x0)
-            return DrawRecord(
-                initial_params=QaoaParams(base_b + (x0[0],), base_g + (x0[1],)),
-                final_params=QaoaParams(base_b + (x[0],), base_g + (x[1],)).canonical(),
-                expectation=fx,
-                converged=ok,
-            )
-
-        records = [run_draw(j) for j in range(q)]
-        best = records[_best_index(records)]
-        fixed_b.append(best.final_params.betas[-1])
-        fixed_g.append(best.final_params.gammas[-1])
-        best_expectation = best.expectation
-
-    best_params = QaoaParams(tuple(fixed_b), tuple(fixed_g))
-    return _finish("FPO", problem, records, best_params, best_expectation,
-                   shots, seed, mode)
+    return _train("FPO", code, received, p, q, shots, seed, mode, stages=p, dim=2,
+                  layers=lambda v: ((v[0],), (v[1],)))
 
 
 def train_random(
@@ -419,29 +385,8 @@ def train_random(
     mode: str = "exact",
 ) -> TrainingResult:
     """Random-start baseline over the full 2p-dimensional parameter space."""
-    _check_training_args(p, q, shots)
-    problem = DecodeProblem(code, received)
-
-    def run_draw(j: int) -> DrawRecord:
-        rng = np.random.default_rng(child_seed(seed, _ROLE_INIT, 0, j))
-        x0 = rng.uniform(0.0, TWO_PI, 2 * p)
-        evaluator = _Evaluator(problem, mode, shots, seed, 0, j)
-
-        def objective(v):
-            return evaluator(v[:p], v[p:])
-
-        x, fx, ok = _optimize(objective, x0)
-        return DrawRecord(
-            initial_params=QaoaParams(tuple(x0[:p]), tuple(x0[p:])),
-            final_params=QaoaParams(tuple(x[:p]), tuple(x[p:])).canonical(),
-            expectation=fx,
-            converged=ok,
-        )
-
-    records = [run_draw(j) for j in range(q)]
-    best = records[_best_index(records)]
-    return _finish("RANDOM", problem, records, best.final_params, best.expectation,
-                   shots, seed, mode)
+    return _train("RANDOM", code, received, p, q, shots, seed, mode, stages=1, dim=2 * p,
+                  layers=lambda v: (v[:p], v[p:]))
 
 
 TRAINERS = {"upo": train_upo, "fpo": train_fpo, "random": train_random}

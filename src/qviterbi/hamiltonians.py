@@ -7,15 +7,11 @@ matrix action never leaves the codespace.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
 from .codes import BitVector, Code, min_weight_codewords
 from .errors import EmptyMixerError, LengthError, NotDiagonalError
-
-CODEWORD_REGISTER = "codeword"
-ANCILLA_REGISTER = "ancilla"
 
 
 @dataclass(frozen=True)
@@ -52,18 +48,13 @@ class PauliString:
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
-    """Real-weighted sum of Pauli strings (Hermitian by construction).
-
-    The first ``num_codeword_qubits`` indices form the codeword register; any
-    higher index belongs to the ancilla register.
-    """
+    """Real-weighted sum of Pauli strings (Hermitian by construction)."""
 
     terms: tuple[tuple[float, PauliString], ...]
     num_qubits: int
-    num_codeword_qubits: int
 
     @classmethod
-    def from_terms(cls, terms, num_qubits: int, num_codeword_qubits: int | None = None) -> PauliHamiltonian:
+    def from_terms(cls, terms, num_qubits: int) -> PauliHamiltonian:
         merged: dict[PauliString, float] = {}
         order: list[PauliString] = []
         for coeff, string in terms:
@@ -72,33 +63,11 @@ class PauliHamiltonian:
                 order.append(string)
             merged[string] += float(coeff)
         kept = tuple((merged[s], s) for s in order if merged[s] != 0.0)
-        return cls(kept, num_qubits, num_codeword_qubits if num_codeword_qubits is not None else num_qubits)
+        return cls(kept, num_qubits)
 
     @property
     def is_diagonal(self) -> bool:
         return all(s.is_all("Z") for _, s in self.terms)
-
-    def register_of(self, qubit: int) -> str:
-        return CODEWORD_REGISTER if qubit < self.num_codeword_qubits else ANCILLA_REGISTER
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": coeff, "paulis": [{"q": q, "axis": a} for q, a in string.paulis]}
-                for coeff, string in self.terms
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, num_qubits: int, num_codeword_qubits: int | None = None) -> PauliHamiltonian:
-        terms = [
-            (t["coeff"], PauliString(tuple((p["q"], p["axis"]) for p in t["paulis"])))
-            for t in obj["terms"]
-        ]
-        return cls.from_terms(terms, num_qubits, num_codeword_qubits)
 
 
 def build_cost_hamiltonian(n: int) -> PauliHamiltonian:
@@ -113,7 +82,7 @@ def build_cost_hamiltonian(n: int) -> PauliHamiltonian:
     terms: list[tuple[float, PauliString]] = [(n / 2.0, PauliString(()))]
     for i in range(n):
         terms.append((-0.5, PauliString(((i, "Z"), (n + i, "Z")))))
-    return PauliHamiltonian.from_terms(terms, num_qubits=2 * n, num_codeword_qubits=n)
+    return PauliHamiltonian.from_terms(terms, num_qubits=2 * n)
 
 
 def build_mixer_hamiltonian(code: Code) -> PauliHamiltonian:
@@ -130,7 +99,7 @@ def build_mixer_hamiltonian(code: Code) -> PauliHamiltonian:
         (1.0, PauliString.from_axes("X", (i for i, b in enumerate(w.bits) if b)))
         for w in words
     ]
-    return PauliHamiltonian.from_terms(terms, num_qubits=code.n, num_codeword_qubits=code.n)
+    return PauliHamiltonian.from_terms(terms, num_qubits=code.n)
 
 
 def eigenvalue_of(h: PauliHamiltonian, basis_state: BitVector) -> float:

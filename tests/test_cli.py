@@ -73,6 +73,9 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branch_bits": 0}), "--received", "10"],
     DECODE + ["--mode", "sampled", "--seed", "-1"],
     ["landscape", "--code", "lbc_321", "--received", "011", "--grid", "200000"],
+    ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "n": 5}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"generator": [[1, 1]], "n": "2"}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branch_bits": True}), "--received", "10"],
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]

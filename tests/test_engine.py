@@ -20,7 +20,7 @@ from qviterbi import (
     train_upo,
 )
 from qviterbi._seedseq import pcg64_seed_words
-from qviterbi.engine import _FIRST_BLOCK, _ROLE_EVAL, TWO_PI, _Evaluator, _fixed_seed_type, child_seed
+from qviterbi.engine import _FIRST_BLOCK, _ROLE_EVAL, _ROLE_INIT, TWO_PI, _Evaluator, _fixed_seed_type, child_seed
 from qviterbi.problem import DecodeProblem
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
 from conftest import BUILTIN_NAMES
@@ -36,7 +36,7 @@ def top_states(distribution, count=1):
 
 class TestQaoaParams:
     def test_uniform_factory(self):
-        params = QaoaParams.uniform_params(3, 0.5, 1.5)
+        params = QaoaParams((0.5,) * 3, (1.5,) * 3, uniform=True)
         assert params.p == 3
         assert params.betas == (0.5, 0.5, 0.5)
         assert params.uniform
@@ -50,10 +50,14 @@ class TestQaoaParams:
             QaoaParams((0.1,), (0.2, 0.3))
 
     def test_canonical_mod_two_pi(self):
-        params = QaoaParams((-0.5, TWO_PI + 1.0), (7.0, 7.0)).canonical()
+        # A tiny negative angle rounds to exactly 2*pi under a single %.
+        raw = QaoaParams((-0.5, TWO_PI + 1.0, -1e-17, -4e-16), (7.0, 7.0, TWO_PI, 0.0))
+        params = raw.canonical()
         assert params.betas[0] == pytest.approx(TWO_PI - 0.5)
         assert params.betas[1] == pytest.approx(1.0)
         assert params.gammas[0] == pytest.approx(7.0 - TWO_PI)
+        assert all(0.0 <= a < TWO_PI for a in params.betas + params.gammas)
+        assert params.canonical() == params
 
 
 class TestRunPqc:
@@ -64,7 +68,7 @@ class TestRunPqc:
 
     def test_zero_beta_leaves_probabilities_uniform(self, lbc_633):
         r = bv("111011")
-        sv = run_pqc(lbc_633, r, QaoaParams.uniform_params(1, 0.0, 1.3))
+        sv = run_pqc(lbc_633, r, QaoaParams((0.0,), (1.3,), uniform=True))
         uniform = prepare_uniform_codespace(lbc_633).probabilities()
         assert np.allclose(sv.probabilities(), uniform, atol=1e-12)
 
@@ -73,7 +77,8 @@ class TestRunPqc:
         code = all_builtins[name]
         rng = np.random.default_rng(17)
         r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
-        params = QaoaParams.uniform_params(2, float(rng.uniform(0, TWO_PI)), float(rng.uniform(0, TWO_PI)))
+        beta, gamma = float(rng.uniform(0, TWO_PI)), float(rng.uniform(0, TWO_PI))
+        params = QaoaParams((beta,) * 2, (gamma,) * 2, uniform=True)
         folded = run_pqc(code, r, params, CircuitMode.FOLDED)
         full = run_pqc(code, r, params, CircuitMode.FULL)
         reduced = extract_codeword_register(full, r)
@@ -232,6 +237,33 @@ def test_solution_hits_count_every_ml_codeword(trainer, lbc_321):
     result = trainer(lbc_321, r, p=2, q=2, shots=500, seed=7, mode="sampled")
     assert result.solution_hits == sum(result.distribution.get(str(c), 0) for c in oracle.best_codewords)
     assert result.approximation_ratio == result.best_expectation / oracle.best_metric
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
+def test_every_draw_starts_from_its_own_seed(trainer, mode, lbc_633):
+    # Draw j of stage s starts at default_rng(child_seed(seed, INIT, s, j)).uniform(0, 2*pi, dim).
+    # FPO runs one stage per layer, each after the earlier stages' winning layers.
+    r, p, q, seed = bv("111011"), 3, 2, 11
+    result = trainer(lbc_633, r, p=p, q=q, shots=200, seed=seed, mode=mode)
+    stage, dim = {train_upo: (0, 2), train_fpo: (p - 1, 2), train_random: (0, 2 * p)}[trainer]
+    if trainer is train_fpo:
+        earlier = train_fpo(lbc_633, r, p=p - 1, q=q, shots=200, seed=seed, mode=mode).best_params
+    for j, rec in enumerate(result.samples):
+        start = rec.initial_params
+        new = {
+            train_upo: (start.betas[0], start.gammas[0]),
+            train_fpo: (start.betas[-1], start.gammas[-1]),
+            train_random: start.betas + start.gammas,
+        }[trainer]
+        expected = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j)).uniform(0.0, TWO_PI, dim)
+        assert np.array_equal(new, expected)
+        if trainer is train_fpo:
+            for params in (rec.initial_params, rec.final_params):
+                assert (params.betas[:-1], params.gammas[:-1]) == (earlier.betas, earlier.gammas)
+    winner = min(result.samples, key=lambda rec: rec.expectation)
+    assert result.best_params == winner.final_params
+    assert result.best_expectation == winner.expectation
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -80,11 +80,6 @@ class TestCostHamiltonian:
         h = build_cost_hamiltonian(8)
         assert all(len(s.qubits) <= 2 for _, s in h.terms)
 
-    def test_register_tags(self):
-        h = build_cost_hamiltonian(4)
-        assert h.register_of(0) == "codeword"
-        assert h.register_of(4) == "ancilla"
-
 
 class TestEigenvalueOf:
     def test_rejects_non_diagonal(self, lbc_633):
@@ -238,21 +233,6 @@ class TestGMatrix:
 
 
 class TestSerialization:
-    def test_round_trip(self, lbc_633):
-        h = build_mixer_hamiltonian(lbc_633)
-        obj = h.to_json_dict()
-        back = PauliHamiltonian.from_json_dict(obj, h.num_qubits, h.num_codeword_qubits)
-        assert back.terms == h.terms
-
-    def test_json_shape(self):
-        obj = build_cost_hamiltonian(1).to_json_dict()
-        assert obj == {
-            "terms": [
-                {"coeff": 0.5, "paulis": []},
-                {"coeff": -0.5, "paulis": [{"q": 0, "axis": "Z"}, {"q": 1, "axis": "Z"}]},
-            ]
-        }
-
     def test_duplicate_terms_merge(self):
         s = PauliString(((0, "Z"),))
         h = PauliHamiltonian.from_terms([(1.0, s), (0.5, s)], num_qubits=1)
