@@ -106,7 +106,7 @@ class Gf2Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(int(x) & 1 if x in (0, 1) else _bad_entry(x) for r in rows for x in r)
+        flat = tuple(x if type(x) is int and x in (0, 1) else _bad_entry(x) for r in rows for x in r)
         return cls(len(rows), ncols, flat)
 
     @classmethod
@@ -174,7 +174,7 @@ class Gf2Matrix:
 
 
 def _bad_entry(x):
-    raise ValueError(f"matrix entries must be 0 or 1, got {x!r}")
+    raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -25,22 +25,21 @@ because ``perfbench/spans.py`` wraps them here; ``ml_brute_force`` also stays
 the tests' independent oracle.
 
 All randomness flows from one master seed through counter-based splits, so a
-run is reproducible bit for bit. In sampled mode each evaluation of a draw
-gets the generator ``default_rng(child_seed(master, EVAL, stage, draw, c))``
-for its call counter c; ``_seedseq`` derives the PCG64 seed words of many
-counters in one vectorised pass of numpy's SeedSequence hash, so a generator
-costs about 3 us instead of 25 (timeit, 2-vCPU VM).
+run is reproducible bit for bit. Draw j of round s starts from
+``child_seed(master, INIT, s, j)``; in sampled mode it also builds one
+generator, ``default_rng(child_seed(master, EVAL, s, j))``, and every
+evaluation of the draw takes its shots from it in call order. A draw's noise
+therefore depends only on its own evaluations, not on how many the other draws
+made. The final measurement uses ``child_seed(master, MEASURE)``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._seedseq import pcg64_seed_words
 from .codes import BitVector, Code
 from .errors import LengthError
 from .hamiltonians import build_mixer_hamiltonian
@@ -64,11 +63,9 @@ TWO_PI = 2.0 * math.pi
 # tolerances on parameters and cost.
 _NM_OPTIONS = {"maxiter": 300, "xatol": 1e-4, "fatol": 1e-6}
 
-# Evaluations whose sampled-mode seeds are derived together when a draw starts.
-# Noisy draws run to maxiter, at about 2.7 evaluations per iteration in two
-# dimensions (at most 849 per draw in the first 200 decode_sampled requests of
-# the benchmark); a draw that runs past the block doubles it.
-_FIRST_BLOCK = 3 * _NM_OPTIONS["maxiter"]
+# Most measurement shots: a sampled expectation sums shots * distance in int64,
+# and distances are at most n, so shots * n must stay below 2^63.
+MAX_SHOTS = 1 << 32
 
 # Largest landscape grid, in (beta, gamma) rows.
 MAX_LANDSCAPE_ROWS = 1 << 20
@@ -156,25 +153,6 @@ class TrainingResult:
         }
 
 
-@functools.cache
-def _fixed_seed_type() -> type:
-    """An ``ISeedSequence`` that hands over seed words computed in advance.
-
-    Defined on first use, because importing ``numpy.random`` costs 9-15 ms.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedSeed(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for exactly the four uint64 words held.
-            return self.words
-
-    return FixedSeed
-
-
 def child_seed(master: int, *path: int) -> int:
     """Deterministic 32-bit seed derived from a master seed and an index path."""
     return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])
@@ -227,38 +205,28 @@ def expectation_sampled(sv: Statevector, received: BitVector, shots: int, seed: 
 
 
 class _Evaluator:
-    """Cost of one parameter point, with counter-split seeds in sampled mode."""
+    """Cost of one parameter point for draw ``draw`` of round ``stage``.
+
+    In sampled mode the draw's one generator,
+    ``default_rng(child_seed(master, EVAL, stage, draw))``, is built here and
+    every evaluation takes its shots from it in call order; exact mode builds
+    none.
+    """
 
     def __init__(self, problem: DecodeProblem, mode: str, shots: int, master: int, stage: int, draw: int):
         if mode not in ("exact", "sampled"):
             raise ValueError("mode must be 'exact' or 'sampled'")
         self.problem = problem
-        self.mode = mode
         self.shots = shots
-        self.path = (master, _ROLE_EVAL, stage, draw)
-        self.calls = 0
-        self._words = np.empty((0, 4), dtype=np.uint64)
-
-    def generator(self) -> np.random.Generator:
-        """The next evaluation's generator.
-
-        Call c returns a generator whose state equals that of
-        ``default_rng(child_seed(master, EVAL, stage, draw, c))``, so it draws
-        the same stream. Its seed words come from a block computed for many
-        calls at once; numpy still seeds PCG64 from them.
-        """
-        c = self.calls
-        if c == len(self._words):
-            more = max(c, _FIRST_BLOCK)
-            self._words = np.concatenate([self._words, pcg64_seed_words(self.path, np.arange(c, c + more))])
-        self.calls += 1
-        return np.random.Generator(np.random.PCG64(_fixed_seed_type()(self._words[c])))
+        self.rng = None
+        if mode == "sampled":
+            self.rng = np.random.default_rng(child_seed(master, _ROLE_EVAL, stage, draw))
 
     def __call__(self, betas, gammas, start: np.ndarray | None = None) -> float:
         probs = self.problem.probabilities(betas, gammas, start)
-        if self.mode == "exact":
+        if self.rng is None:
             return self.problem.expectation(probs)
-        return self.problem.expectation_sampled(probs, self.shots, self.generator())
+        return self.problem.expectation_sampled(probs, self.shots, self.rng)
 
 
 def _finish(
@@ -315,8 +283,8 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
         raise ValueError("p must be at least 1")
     if q < 1:
         raise ValueError("q must be at least 1")
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}")
     problem = DecodeProblem(code, received)
     prefix = QaoaParams((), ())
     for stage in range(stages):

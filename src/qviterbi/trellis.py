@@ -122,15 +122,16 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
 
     best_metric = dist[0]
     paths: list[tuple[int, ...]] = []
-
-    def backtrack(t: int, state: int, suffix: tuple[int, ...]):
+    # Backtrack every tied survivor with an explicit stack: the depth is not
+    # bounded by Python's recursion limit, and no self-referencing closure keeps
+    # ``preds`` alive until the cycle collector runs.
+    stack = [(trellis.num_instants, 0, ())]
+    while stack:
+        t, state, suffix = stack.pop()
         if t == 0:
             paths.append(suffix)
-            return
-        for br in preds[t - 1][state]:
-            backtrack(t - 1, br.from_state, br.bits + suffix)
-
-    backtrack(trellis.num_instants, 0, ())
+        else:
+            stack.extend((t - 1, br.from_state, br.bits + suffix) for br in preds[t - 1][state])
     return DecodeResult(best_metric, tuple(sorted(BitVector(p) for p in paths)))
 
 

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qviterbi import (
     BitVector,
     LengthError,
     QaoaParams,
+    engine,
     expectation_exact,
     expectation_sampled,
     landscape_scan,
@@ -19,8 +18,8 @@ from qviterbi import (
     train_random,
     train_upo,
 )
-from qviterbi._seedseq import pcg64_seed_words
-from qviterbi.engine import _FIRST_BLOCK, _ROLE_EVAL, _ROLE_INIT, TWO_PI, _Evaluator, _fixed_seed_type, child_seed
+from qviterbi.engine import _ROLE_EVAL, _ROLE_INIT, TWO_PI, _Evaluator, child_seed
+from qviterbi.nelder_mead import minimize
 from qviterbi.problem import DecodeProblem
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
 from conftest import BUILTIN_NAMES
@@ -308,57 +307,70 @@ class TestSeedSplit:
         assert child_seed(7, 1, 2) == child_seed(7, 1, 2)
         assert child_seed(7, 1, 2) != child_seed(7, 1, 3)
 
-    @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**64 + 3])
-    def test_evaluation_generator_equals_child_seed_stream(self, master, lbc_633):
-        # Seed words are derived one block at a time, the first on the first
-        # call; calls on both sides of each block boundary keep the stream.
-        problem = DecodeProblem(lbc_633, bv("111011"))
-        probs = problem.probabilities((0.4, 1.3), (2.1, 0.6))
-        evaluator = _Evaluator(problem, "sampled", 500, master, stage=1, draw=3)
-        assert len(evaluator._words) == 0
-        first = _FIRST_BLOCK
-        # Call -> seed words derived once it has returned.
-        derived = {0: first, 2: first, first - 1: first, first: 2 * first,
-                   2 * first - 1: 2 * first, 2 * first: 4 * first}
-        for call in range(max(derived) + 1):
-            fast = evaluator.generator()
-            if call in derived:
-                assert len(evaluator._words) == derived[call]
-                seed = child_seed(master, _ROLE_EVAL, 1, 3, call)
-                assert fast.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-                assert np.array_equal(problem.sample(probs, 500, fast), problem.sample(probs, 500, seed))
-        assert evaluator((0.4, 1.3), (2.1, 0.6)) == problem.expectation_sampled(
-            probs, 500, child_seed(master, _ROLE_EVAL, 1, 3, max(derived) + 1))
+    @pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
+    def test_sampled_draw_takes_its_shots_from_one_generator(self, trainer, lbc_633, monkeypatch):
+        # Every evaluation of draw j in round s samples, in call order, from one
+        # default_rng(child_seed(seed, EVAL, s, j)).
+        r, p, q, shots, seed = bv("111011"), 2, 2, 200, 2**64 + 3
+        draws = []
 
-    def test_exact_mode_derives_no_seeds(self, lbc_633):
+        def recording_minimize(fun, x0, **options):
+            evaluations = []
+            draws.append(evaluations)
+
+            def recorded(v):
+                value = fun(v)
+                evaluations.append((v.copy(), value))
+                return value
+
+            return minimize(recorded, x0, **options)
+
+        monkeypatch.setattr(engine, "minimize", recording_minimize)
+        result = trainer(lbc_633, r, p=p, q=q, shots=shots, seed=seed, mode="sampled")
+        last = result.samples[0].initial_params
+        prefixes = [((), ()), (last.betas[:-1], last.gammas[:-1])] if trainer is train_fpo else [((), ())]
+        layers = {
+            train_upo: lambda v: ((v[0],) * p, (v[1],) * p),
+            train_fpo: lambda v: ((v[0],), (v[1],)),
+            train_random: lambda v: (tuple(v[:p]), tuple(v[p:])),
+        }[trainer]
+        assert len(draws) == len(prefixes) * q
+        problem = DecodeProblem(lbc_633, r)
+        for i, evaluations in enumerate(draws):
+            stage, j = divmod(i, q)
+            g = np.random.default_rng(child_seed(seed, _ROLE_EVAL, stage, j))
+            prefix_b, prefix_g = prefixes[stage]
+            for v, value in evaluations:
+                betas, gammas = layers(v)
+                probs = problem.probabilities(prefix_b + tuple(betas), prefix_g + tuple(gammas))
+                assert value == problem.expectation_sampled(probs, shots, g)
+
+    @pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
+    def test_draw_noise_does_not_depend_on_other_draws(self, trainer, lbc_633, monkeypatch):
+        # Each draw owns its generator, so evaluations made outside a draw (here,
+        # extra ones after every optimizer run) leave every draw's result unchanged.
+        # Running the q draws in lockstep relies on this.
+        args = dict(code=lbc_633, received=bv("111011"), p=2, q=3, shots=200, seed=5, mode="sampled")
+        plain = trainer(**args)
+
+        def wasteful_minimize(fun, x0, **options):
+            res = minimize(fun, x0, **options)
+            for _ in range(7):
+                fun(x0)
+            return res
+
+        monkeypatch.setattr(engine, "minimize", wasteful_minimize)
+        assert trainer(**args) == plain
+
+    def test_exact_mode_builds_no_generator(self, lbc_633):
         problem = DecodeProblem(lbc_633, bv("111011"))
         evaluator = _Evaluator(problem, "exact", 500, 5, stage=0, draw=0)
+        assert evaluator.rng is None
         assert evaluator((0.4,), (2.1,)) == problem.expectation(problem.probabilities((0.4,), (2.1,)))
-        assert len(evaluator._words) == 0 and evaluator.calls == 0
 
     def test_negative_master_raises(self, lbc_633):
-        evaluator = _Evaluator(DecodeProblem(lbc_633, bv("111011")), "sampled", 10, -1, stage=0, draw=0)
         with pytest.raises(ValueError):
-            evaluator.generator()
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        master=st.integers(0, 2**70 - 1),
-        stage=st.integers(0, 4999),
-        draw=st.integers(0, 4999),
-        counters=st.lists(st.integers(0, 4999), min_size=1, max_size=5),
-    )
-    def test_seed_words_equal_numpy_chain(self, master, stage, draw, counters):
-        words = pcg64_seed_words((master, _ROLE_EVAL, stage, draw), np.array(counters))
-        probs = np.array([0.1, 0.0, 0.25, 0.4, 0.25])
-        for row, c in zip(words, counters):
-            seed = child_seed(master, _ROLE_EVAL, stage, draw, c)
-            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-            fast = np.random.PCG64(_fixed_seed_type()(row))
-            reference = np.random.default_rng(seed)
-            assert fast.state == reference.bit_generator.state
-            assert np.array_equal(np.random.Generator(fast).multinomial(300, probs),
-                                  reference.multinomial(300, probs))
+            _Evaluator(DecodeProblem(lbc_633, bv("111011")), "sampled", 10, -1, stage=0, draw=0)
 
     def test_json_round_trip_shape(self, lbc_633):
         result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)

@@ -74,6 +74,17 @@ class TestViterbiDecode:
         with pytest.raises(LengthError):
             viterbi_decode(build_trellis(lbc_633), bv("111"))
 
+    def test_backtrack_deeper_than_the_recursion_limit(self):
+        # 1200 sections, more than Python's default recursion limit of 1000.
+        n = 1200
+        trellis = build_trellis(code_from_generator(Gf2Matrix.from_rows([[1] * n])))
+        result = viterbi_decode(trellis, BitVector((1,) * n))
+        assert result.best_metric == 0
+        assert result.best_codewords == (BitVector((1,) * n),)
+        result = viterbi_decode(trellis, BitVector((1,) * (n // 2) + (0,) * (n // 2)))
+        assert result.best_metric == n // 2
+        assert result.best_codewords == (BitVector.zero(n), BitVector((1,) * n))
+
 
 class TestBruteForce:
     def test_633_single_error(self, lbc_633):
