@@ -49,9 +49,6 @@ class RunConfig:
         cfg.dump_state = bool(getattr(args, "dump_state", False))
         if cfg.dump_state and (1 << code.n) > MAX_DUMP_ENTRIES:
             raise ValueError(f"state has {1 << code.n} entries; dump is limited to {MAX_DUMP_ENTRIES}")
-        for name, minimum in (("p", 1), ("q", 1), ("shots", 1)):
-            if getattr(cfg, name) < minimum:
-                raise ValueError(f"{name} must be at least {minimum}")
         return cfg
 
 

@@ -2,7 +2,8 @@
 
 Bit-order convention used everywhere in this package: bit 1 of a word is the
 leftmost character of its printed string, maps to qubit index 0, and is the
-most significant bit of the word's integer encoding.
+most significant bit of the word's integer encoding. A GF(2) matrix holds one
+such integer per row, so rows and codewords share one format.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from .errors import LengthError, NotLinearError, RankError
 
 MAX_MESSAGE_BITS = 20  # codespace enumeration is capped at 2**20 words
 
+_BIT_OF_CHAR = {"0": 0, "1": 1}
+
 
 @dataclass(frozen=True, order=True)
 class BitVector:
@@ -25,21 +28,21 @@ class BitVector:
     def __post_init__(self):
         if len(self.bits) == 0:
             raise ValueError("BitVector must have positive length")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("BitVector entries must be 0 or 1")
+        if not ({*map(type, self.bits)} == {int} and {*self.bits} <= {0, 1}):
+            raise ValueError("BitVector entries must be the integers 0 or 1")
 
     @classmethod
     def from_string(cls, s: str) -> BitVector:
         if not isinstance(s, str) or not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a bit string: {s!r}")
-        return cls(tuple(int(c) for c in s))
+        return cls(tuple(map(_BIT_OF_CHAR.__getitem__, s)))
 
     @classmethod
     def from_index(cls, index: int, length: int) -> BitVector:
         """Inverse of ``to_index`` for a given printed length."""
         if not 0 <= index < (1 << length):
             raise ValueError(f"index {index} out of range for length {length}")
-        return cls(tuple((index >> (length - 1 - i)) & 1 for i in range(length)))
+        return cls(tuple(map(_BIT_OF_CHAR.__getitem__, format(index, f"0{length}b"))))
 
     @classmethod
     def zero(cls, length: int) -> BitVector:
@@ -86,95 +89,56 @@ def hamming_distance(a: BitVector, b: BitVector) -> int:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """Dense binary matrix with row-major storage and GF(2) row reduction."""
+    """Binary matrix with one integer per row (leftmost column most significant)."""
 
-    rows: int
     cols: int
-    bits: tuple[int, ...]
+    words: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bits) != self.rows * self.cols:
-            raise ValueError("bits length does not match rows*cols")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("matrix entries must be 0 or 1")
+        limit = 1 << self.cols
+        if any(type(w) is not int or not 0 <= w < limit for w in self.words):
+            raise ValueError(f"matrix rows must be integers in [0, 2^{self.cols})")
+
+    @property
+    def rows(self) -> int:
+        return len(self.words)
 
     @classmethod
     def from_rows(cls, rows) -> Gf2Matrix:
         if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
             raise ValueError("matrix rows must be lists")
-        rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(x if type(x) is int and x in (0, 1) else _bad_entry(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> Gf2Matrix:
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        if arr.shape[0] == 0:
-            return cls(0, arr.shape[1], ())
-        return cls.from_rows(arr.tolist())
+        for r in rows:
+            for x in r:
+                if type(x) is not int or x not in (0, 1):
+                    raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
+        return cls(ncols, tuple(sum(x << (ncols - 1 - j) for j, x in enumerate(r)) for r in rows))
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8).reshape(self.rows, self.cols)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.bits[i * self.cols : (i + 1) * self.cols])
+        bits = [[(w >> (self.cols - 1 - j)) & 1 for j in range(self.cols)] for w in self.words]
+        return np.array(bits, dtype=np.uint8).reshape(self.rows, self.cols)
 
     def rref(self) -> tuple[Gf2Matrix, tuple[int, ...]]:
         """Reduced row-echelon form over GF(2) with zero rows dropped.
 
         Returns the reduced matrix and its pivot columns (strictly increasing).
         """
-        a = self.to_array().copy()
-        m, n = a.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            pivot = None
-            for i in range(r, m):
-                if a[i, c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != r:
-                a[[r, pivot]] = a[[pivot, r]]
-            for i in range(m):
-                if i != r and a[i, c]:
-                    a[i] ^= a[r]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Gf2Matrix.from_array(a[:r]), tuple(pivots)
+        reduced, rest, pivots = [], list(self.words), []
+        for c in range(self.cols):
+            bit = 1 << (self.cols - 1 - c)
+            top = next((w for w in rest if w & bit), 0)
+            if top:
+                # Earlier pivots are already cleared from ``rest``, so ``top``
+                # leads at column c; clear column c from every other row.
+                reduced = [w ^ top if w & bit else w for w in reduced] + [top]
+                rest = [v for v in (w ^ top if w & bit else w for w in rest) if v]
+                pivots.append(c)
+        return Gf2Matrix(self.cols, tuple(reduced)), tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[0].rows
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        """Leading-one column of each row; raises if rows are not in RREF order."""
-        arr = self.to_array()
-        pivots = []
-        for i in range(self.rows):
-            nz = np.flatnonzero(arr[i])
-            if nz.size == 0:
-                raise ValueError("zero row in generator")
-            pivots.append(int(nz[0]))
-        if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
-            raise ValueError("pivot columns not strictly increasing")
-        for i, p in enumerate(pivots):
-            col = arr[:, p]
-            if col.sum() != 1 or col[i] != 1:
-                raise ValueError("pivot column is not a unit vector")
-        return tuple(pivots)
-
-
-def _bad_entry(x):
-    raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -207,21 +171,19 @@ def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
     # One check per non-pivot column f: c_f equals the sum of G[i, f] * c_{p_i},
     # because an RREF codeword carries message bit i at pivot p_i. For a
     # systematic generator [I | P] this is [P^T | I].
-    g = generator.to_array()
-    free = [f for f in range(generator.cols) if f not in pivots]
-    h = np.zeros((len(free), generator.cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        h[row, f] = 1
-        h[row, list(pivots)] = g[:, f]
-    return Gf2Matrix.from_array(h)
+    n = generator.cols
+    pivot_set = set(pivots)
+    return Gf2Matrix(n, tuple(
+        (1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator.words) if (g >> (n - 1 - f)) & 1)
+        for f in range(n) if f not in pivot_set
+    ))
 
 
 def _finish_code(generator: Gf2Matrix, pivots, kind, branch_bits, name) -> Code:
     # Doubling from the last row makes it the least significant message bit;
     # each earlier row has a more significant pivot, so the list stays sorted.
     words = [0]
-    for i in reversed(range(generator.rows)):
-        row = generator.row(i).to_index()
+    for row in reversed(generator.words):
         words += [w ^ row for w in words]
     return Code(
         n=generator.cols,
@@ -280,7 +242,7 @@ def code_from_codewords(
         raise NotLinearError(f"|codespace| = {size} is not a power of two")
     if branch_bits < 1 or n % branch_bits:
         raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n} into sections")
-    reduced, pivots = Gf2Matrix.from_rows([w.bits for w in words]).rref()
+    reduced, pivots = Gf2Matrix(n, tuple(ints)).rref()
     if (1 << reduced.rows) != size:
         raise NotLinearError("codeword set is not closed under XOR")
     return _finish_code(reduced, pivots, kind, branch_bits, name)
@@ -288,7 +250,7 @@ def code_from_codewords(
 
 def min_weight_codewords(code: Code) -> list[BitVector]:
     """All nonzero codewords of weight exactly ``code.d``, in lexicographic order."""
-    return [c for c in code.codespace if 0 < c.weight == code.d]
+    return [BitVector.from_index(w, code.n) for w in code.codewords if 0 < w.bit_count() == code.d]
 
 
 # Built-in codes: a [6,3,3] block code, a [3,2,1] block code, and a rate-1/2

@@ -67,6 +67,10 @@ _NM_OPTIONS = {"maxiter": 300, "xatol": 1e-4, "fatol": 1e-6}
 # and distances are at most n, so shots * n must stay below 2^63.
 MAX_SHOTS = 1 << 32
 
+# Most circuit layers; every evaluation applies p layers, and the random
+# strategy's simplex holds (2p + 1) x 2p floats.
+MAX_LAYERS = 64
+
 # Largest landscape grid, in (beta, gamma) rows.
 MAX_LANDSCAPE_ROWS = 1 << 20
 
@@ -279,8 +283,8 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
     first record attaining a round's minimum wins, so selection is
     deterministic; the reported samples are the last round's records.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p <= MAX_LAYERS:
+        raise ValueError(f"p must be between 1 and {MAX_LAYERS}")
     if q < 1:
         raise ValueError("q must be at least 1")
     if not 1 <= shots <= MAX_SHOTS:
@@ -366,6 +370,8 @@ def landscape_scan(code: Code, received: BitVector, p: int, grid: int) -> np.nda
     Returns an array of (beta, gamma, expectation) rows, beta-major, with
     grid**2 rows; all p layers share the grid point's parameter pair.
     """
+    if not 1 <= p <= MAX_LAYERS:
+        raise ValueError(f"p must be between 1 and {MAX_LAYERS}")
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if grid * grid > MAX_LANDSCAPE_ROWS:

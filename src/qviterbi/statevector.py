@@ -149,16 +149,15 @@ def distances_to(received: BitVector) -> np.ndarray:
 
 
 def _apply_codespace_prep(sv: Statevector, code: Code) -> None:
-    try:
-        pivots = code.generator.pivot_columns() if code.k else ()
-    except ValueError as exc:
-        raise StatePrepError(f"generator not in reduced row-echelon form: {exc}") from exc
+    # Row reduction returns G itself exactly when G is in RREF with no zero rows.
+    reduced, pivots = code.generator.rref()
+    if reduced != code.generator:
+        raise StatePrepError("generator not in reduced row-echelon form")
     for p in pivots:
         sv.apply_h(p)
-    for row_idx, pivot in enumerate(pivots):
-        row = code.generator.row(row_idx)
-        for i, bit in enumerate(row.bits):
-            if bit and i != pivot:
+    for row, pivot in zip(code.generator.words, pivots):
+        for i in range(code.n):
+            if (row >> (code.n - 1 - i)) & 1 and i != pivot:
                 sv.apply_cx(pivot, i)
 
 

@@ -14,26 +14,19 @@ from .errors import LengthError
 
 
 @dataclass(frozen=True)
-class Branch:
-    time: int
-    from_state: int
-    bits: tuple[int, ...]
-    to_state: int
-
-
-@dataclass(frozen=True)
 class Trellis:
     """Layered graph whose root-to-sink paths spell exactly the codewords.
 
     ``node_layers`` has one entry per time point (num_instants + 1 layers);
-    ``branch_layers[t]`` holds the surviving branches of instant ``t``. State
-    labels are integers; the first and last layers contain only state 0.
+    ``branch_layers[t]`` holds the surviving branches of instant ``t`` as
+    ``(from_state, label, to_state)`` int triples, ``label`` being the section's
+    bits as an int. States are ints; the first and last layers hold only state 0.
     """
 
     code: Code
     branch_bits: int
     node_layers: tuple[tuple[int, ...], ...]
-    branch_layers: tuple[tuple[Branch, ...], ...]
+    branch_layers: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
     def num_instants(self) -> int:
@@ -48,9 +41,9 @@ class Trellis:
         counts = {0: 1}
         for branches in self.branch_layers:
             nxt: dict[int, int] = {}
-            for br in branches:
-                if br.from_state in counts:
-                    nxt[br.to_state] = nxt.get(br.to_state, 0) + counts[br.from_state]
+            for frm, _, to in branches:
+                if frm in counts:
+                    nxt[to] = nxt.get(to, 0) + counts[frm]
             counts = nxt
         return counts.get(0, 0)
 
@@ -72,7 +65,7 @@ def build_trellis(code: Code) -> Trellis:
     codeword, so the paths are exactly the codewords.
     """
     b = code.branch_bits
-    check_rows = [code.parity_check.row(i).to_index() for i in range(code.parity_check.rows)]
+    check_rows = code.parity_check.words
 
     def syndrome(word: int) -> int:
         s = 0
@@ -87,9 +80,8 @@ def build_trellis(code: Code) -> Trellis:
         shift = code.n - (t + 1) * b
         labels = [(w >> shift) & ((1 << b) - 1) for w in code.codewords]
         step = {v: syndrome(v << shift) for v in set(labels)}
-        bits = {v: BitVector.from_index(v, b).bits for v in step}
         nxt = [s ^ step[v] for s, v in zip(states, labels)]
-        branch_layers.append(tuple(Branch(t, s, bits[v], to) for s, v, to in set(zip(states, labels, nxt))))
+        branch_layers.append(tuple(set(zip(states, labels, nxt))))
         node_layers.append(tuple(sorted(set(nxt))))
         states = nxt
     return Trellis(code, b, tuple(node_layers), tuple(branch_layers))
@@ -101,38 +93,40 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
     b = trellis.branch_bits
-    chunks = [received.bits[t * b : (t + 1) * b] for t in range(trellis.num_instants)]
+    r = received.to_index()
+    chunks = [(r >> (code.n - (t + 1) * b)) & ((1 << b) - 1) for t in range(trellis.num_instants)]
 
     dist: dict[int, int] = {0: 0}
-    preds: list[dict[int, list[Branch]]] = []
-    for t, branches in enumerate(trellis.branch_layers):
+    preds: list[dict[int, list[tuple[int, int]]]] = []
+    for branches, chunk in zip(trellis.branch_layers, chunks):
         ndist: dict[int, int] = {}
-        npred: dict[int, list[Branch]] = {}
-        for br in branches:
-            if br.from_state not in dist:
+        npred: dict[int, list[tuple[int, int]]] = {}
+        for frm, label, to in branches:
+            if frm not in dist:
                 continue
-            metric = dist[br.from_state] + sum(x != y for x, y in zip(br.bits, chunks[t]))
-            if br.to_state not in ndist or metric < ndist[br.to_state]:
-                ndist[br.to_state] = metric
-                npred[br.to_state] = [br]
-            elif metric == ndist[br.to_state]:
-                npred[br.to_state].append(br)
+            metric = dist[frm] + (label ^ chunk).bit_count()
+            if to not in ndist or metric < ndist[to]:
+                ndist[to] = metric
+                npred[to] = [(frm, label)]
+            elif metric == ndist[to]:
+                npred[to].append((frm, label))
         dist = ndist
         preds.append(npred)
 
     best_metric = dist[0]
-    paths: list[tuple[int, ...]] = []
+    words: list[int] = []
     # Backtrack every tied survivor with an explicit stack: the depth is not
     # bounded by Python's recursion limit, and no self-referencing closure keeps
     # ``preds`` alive until the cycle collector runs.
-    stack = [(trellis.num_instants, 0, ())]
+    stack = [(trellis.num_instants, 0, 0)]
     while stack:
         t, state, suffix = stack.pop()
         if t == 0:
-            paths.append(suffix)
+            words.append(suffix)
         else:
-            stack.extend((t - 1, br.from_state, br.bits + suffix) for br in preds[t - 1][state])
-    return DecodeResult(best_metric, tuple(sorted(BitVector(p) for p in paths)))
+            shift = code.n - t * b
+            stack.extend((t - 1, frm, suffix | (label << shift)) for frm, label in preds[t - 1][state])
+    return DecodeResult(best_metric, tuple(BitVector.from_index(w, code.n) for w in sorted(words)))
 
 
 def ml_brute_force(code: Code, received: BitVector) -> DecodeResult:

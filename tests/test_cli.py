@@ -79,6 +79,8 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     ["oracle", "--code", CodeFile({"generator": [[True, False, 1.0]]}), "--received", "101"],
     DECODE + ["--mode", "sampled", "--shots", str(2**62)],
     DECODE + ["--mode", "sampled", "--shots", "10000000000000000000"],
+    DECODE + ["--p", "65"],
+    ["landscape", "--code", "lbc_321", "--received", "011", "--p", "65", "--grid", "2"],
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]

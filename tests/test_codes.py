@@ -58,6 +58,8 @@ class TestBitVector:
             bv("01x")
         with pytest.raises(ValueError):
             BitVector(())
+        with pytest.raises(ValueError):
+            BitVector((True, False, 1))
 
 
 class TestHammingDistance:
@@ -98,6 +100,10 @@ class TestGf2Matrix:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             Gf2Matrix.from_rows([[0, 2]])
+        with pytest.raises(ValueError):
+            Gf2Matrix(2, (4,))
+        with pytest.raises(ValueError):
+            Gf2Matrix(2, (True,))
 
 
 class TestCodeFromGenerator:

@@ -300,6 +300,8 @@ class TestLandscape:
     def test_grid_validation(self, lbc_321):
         with pytest.raises(ValueError):
             landscape_scan(lbc_321, bv("011"), p=1, grid=1)
+        with pytest.raises(ValueError):
+            landscape_scan(lbc_321, bv("011"), 0, 2)
 
 
 class TestSeedSplit:

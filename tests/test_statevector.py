@@ -117,11 +117,16 @@ class TestStatePreparation:
         sv = prepare_uniform_codespace(code)
         assert sv.amplitudes[0] == 1.0
 
-    def test_non_rref_generator_rejected(self):
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, 1], [1, 0]], id="pivots_out_of_order"),
+        pytest.param([[1, 0], [0, 0]], id="zero_row"),
+        pytest.param([[1, 1], [0, 1]], id="pivot_column_not_unit"),
+    ])
+    def test_non_rref_generator_rejected(self, rows):
         bad = Code(
             n=2, k=2, d=1,
-            generator=Gf2Matrix.from_rows([[1, 1], [1, 0]]),
-            parity_check=Gf2Matrix(0, 2, ()),
+            generator=Gf2Matrix.from_rows(rows),
+            parity_check=Gf2Matrix(2, ()),
             codewords=(0, 1, 2, 3),
             codespace=(bv("00"), bv("01"), bv("10"), bv("11")),
         )

@@ -144,6 +144,8 @@ def random_codes(draw):
 @given(random_codes())
 def test_random_codes_trellis_matches_brute_force(case):
     rows, code, received = case
+    assert Gf2Matrix.from_rows(rows).to_array().tolist() == rows
+    assert code.generator.rref()[0] == code.generator
     g = np.array(rows, dtype=np.int64)
     h = code.parity_check.to_array().astype(np.int64)
     assert not (g @ h.T % 2).any()
