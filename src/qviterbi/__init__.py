@@ -16,7 +16,6 @@ from .codes import (
     code_from_codewords,
     code_from_generator,
     code_from_json,
-    hamming_distance,
     load_code,
     min_weight_codewords,
 )

@@ -1,9 +1,9 @@
 """Binary linear codes over GF(2): bit vectors, matrices, codespaces, distances.
 
-Bit-order convention used everywhere in this package: bit 1 of a word is the
-leftmost character of its printed string, maps to qubit index 0, and is the
-most significant bit of the word's integer encoding. A GF(2) matrix holds one
-such integer per row, so rows and codewords share one format.
+A word is one int. Bit 1 of a word is the leftmost character of its printed
+string, maps to qubit index 0, and is the most significant bit of the int.
+A ``BitVector`` is ``(length, value)``, the int with its printed length; a
+GF(2) matrix holds one such int per row, so rows and codewords share one format.
 """
 from __future__ import annotations
 
@@ -16,60 +16,37 @@ from .errors import LengthError, NotLinearError, RankError
 
 MAX_MESSAGE_BITS = 20  # codespace enumeration is capped at 2**20 words
 
-_BIT_OF_CHAR = {"0": 0, "1": 1}
 
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BitVector:
-    """Immutable fixed-length vector over GF(2)."""
+    """Immutable word over GF(2): ``length`` bits held as one int, leftmost bit most significant."""
 
-    bits: tuple[int, ...]
+    length: int
+    value: int
 
     def __post_init__(self):
-        if len(self.bits) == 0:
+        if type(self.length) is not int or type(self.value) is not int:
+            raise ValueError("BitVector length and value must be integers (not bool or float)")
+        if self.length < 1:
             raise ValueError("BitVector must have positive length")
-        if not ({*map(type, self.bits)} == {int} and {*self.bits} <= {0, 1}):
-            raise ValueError("BitVector entries must be the integers 0 or 1")
+        if not 0 <= self.value < (1 << self.length):
+            raise ValueError(f"value {self.value} out of range for length {self.length}")
 
     @classmethod
     def from_string(cls, s: str) -> BitVector:
         if not isinstance(s, str) or not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a bit string: {s!r}")
-        return cls(tuple(map(_BIT_OF_CHAR.__getitem__, s)))
-
-    @classmethod
-    def from_index(cls, index: int, length: int) -> BitVector:
-        """Inverse of ``to_index`` for a given printed length."""
-        if not 0 <= index < (1 << length):
-            raise ValueError(f"index {index} out of range for length {length}")
-        return cls(tuple(map(_BIT_OF_CHAR.__getitem__, format(index, f"0{length}b"))))
-
-    @classmethod
-    def zero(cls, length: int) -> BitVector:
-        return cls((0,) * length)
+        return cls(len(s), int(s, 2))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if len(self) != len(other):
-            raise LengthError(f"length mismatch: {len(self)} vs {len(other)}")
-        return BitVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    @property
-    def weight(self) -> int:
-        """Hamming weight (number of 1 entries)."""
-        return sum(self.bits)
+        return format(self.value, f"0{self.length}b")
 
     def to_index(self) -> int:
         """Integer encoding with the leftmost bit most significant."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return self.value
 
 
 def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
@@ -78,13 +55,6 @@ def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
     for b in range(num_bits):
         counts += (values >> b) & 1
     return counts
-
-
-def hamming_distance(a: BitVector, b: BitVector) -> int:
-    """Number of positions where ``a`` and ``b`` differ."""
-    if len(a) != len(b):
-        raise LengthError(f"length mismatch: {len(a)} vs {len(b)}")
-    return (a.to_index() ^ b.to_index()).bit_count()
 
 
 @dataclass(frozen=True)
@@ -149,10 +119,11 @@ class Code:
     is an (n - k) x n matrix whose null space is the code. ``codewords`` holds
     every codeword as an integer (leftmost bit most significant) in ascending
     order, which is also message order: bit j of a word's index is its bit at
-    the pivot of generator row k - 1 - j. ``codespace`` holds the same words,
-    in the same order, as bit vectors. ``branch_bits`` is the trellis branch
-    label width (more than 1 only for terminated convolutional codes ingested
-    as codeword lists).
+    the pivot of generator row k - 1 - j. ``codespace`` derives the same
+    words, in the same order, as bit vectors on each access; they are stored
+    once, in ``codewords``. ``branch_bits`` is the trellis branch label width
+    (more than 1 only for terminated convolutional codes ingested as codeword
+    lists).
     """
 
     n: int
@@ -161,10 +132,12 @@ class Code:
     generator: Gf2Matrix
     parity_check: Gf2Matrix
     codewords: tuple[int, ...]
-    codespace: tuple[BitVector, ...]
-    kind: str = "block"
     branch_bits: int = 1
     name: str = ""
+
+    @property
+    def codespace(self) -> tuple[BitVector, ...]:
+        return tuple(BitVector(self.n, w) for w in self.codewords)
 
 
 def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
@@ -179,7 +152,7 @@ def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
     ))
 
 
-def _finish_code(generator: Gf2Matrix, pivots, kind, branch_bits, name) -> Code:
+def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:
     # Doubling from the last row makes it the least significant message bit;
     # each earlier row has a more significant pivot, so the list stays sorted.
     words = [0]
@@ -192,8 +165,6 @@ def _finish_code(generator: Gf2Matrix, pivots, kind, branch_bits, name) -> Code:
         generator=generator,
         parity_check=_parity_check(generator, pivots),
         codewords=tuple(words),
-        codespace=tuple(BitVector.from_index(w, generator.cols) for w in words),
-        kind=kind,
         branch_bits=branch_bits,
         name=name,
     )
@@ -212,13 +183,12 @@ def code_from_generator(generator: Gf2Matrix, name: str = "") -> Code:
     reduced, pivots = generator.rref()
     if reduced.rows < generator.rows:
         raise RankError(f"generator is rank-deficient: rank {reduced.rows} < {generator.rows} rows")
-    return _finish_code(reduced, pivots, "block", 1, name)
+    return _finish_code(reduced, pivots, 1, name)
 
 
 def code_from_codewords(
     words: list[BitVector],
     name: str = "",
-    kind: str = "block",
     branch_bits: int = 1,
 ) -> Code:
     """Build a code from an explicit, XOR-closed codeword list.
@@ -245,12 +215,12 @@ def code_from_codewords(
     reduced, pivots = Gf2Matrix(n, tuple(ints)).rref()
     if (1 << reduced.rows) != size:
         raise NotLinearError("codeword set is not closed under XOR")
-    return _finish_code(reduced, pivots, kind, branch_bits, name)
+    return _finish_code(reduced, pivots, branch_bits, name)
 
 
 def min_weight_codewords(code: Code) -> list[BitVector]:
     """All nonzero codewords of weight exactly ``code.d``, in lexicographic order."""
-    return [BitVector.from_index(w, code.n) for w in code.codewords if 0 < w.bit_count() == code.d]
+    return [BitVector(code.n, w) for w in code.codewords if 0 < w.bit_count() == code.d]
 
 
 # Built-in codes: a [6,3,3] block code, a [3,2,1] block code, and a rate-1/2
@@ -280,7 +250,6 @@ _BUILTIN_SPECS: dict[str, dict] = {
             "1110101100",
             "1110011011",
         ],
-        "kind": "convolutional-terminated",
         "branch_bits": 2,
     },
 }
@@ -315,13 +284,7 @@ def code_from_json(obj: dict) -> Code:
         if not isinstance(obj["codewords"], list):
             raise ValueError("codewords must be a list of bit strings")
         words = [BitVector.from_string(s) for s in obj["codewords"]]
-        branch_bits = _json_int(obj, "branch_bits", 1)
-        code = code_from_codewords(
-            words,
-            name=name,
-            kind=obj.get("kind", "convolutional-terminated" if branch_bits > 1 else "block"),
-            branch_bits=branch_bits,
-        )
+        code = code_from_codewords(words, name=name, branch_bits=_json_int(obj, "branch_bits", 1))
     else:
         raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
     for key, built in (("n", code.n), ("k", code.k)):

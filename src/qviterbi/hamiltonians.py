@@ -96,7 +96,7 @@ def build_mixer_hamiltonian(code: Code) -> PauliHamiltonian:
     if not words:
         raise EmptyMixerError("degenerate code has no nonzero codewords")
     terms = [
-        (1.0, PauliString.from_axes("X", (i for i, b in enumerate(w.bits) if b)))
+        (1.0, PauliString.from_axes("X", (i for i, b in enumerate(str(w)) if b == "1")))
         for w in words
     ]
     return PauliHamiltonian.from_terms(terms, num_qubits=code.n)
@@ -112,7 +112,7 @@ def eigenvalue_of(h: PauliHamiltonian, basis_state: BitVector) -> float:
     for coeff, string in h.terms:
         sign = 1
         for q, _ in string.paulis:
-            if basis_state.bits[q]:
+            if (basis_state.value >> (basis_state.length - 1 - q)) & 1:
                 sign = -sign
         value += coeff * sign
     return value

@@ -183,8 +183,8 @@ def prepare_full_register(code: Code, received: BitVector) -> Statevector:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
     sv = Statevector(2 * code.n)
     _apply_codespace_prep(sv, code)
-    for i, bit in enumerate(received.bits):
-        if bit:
+    for i, bit in enumerate(str(received)):
+        if bit == "1":
             sv.apply_x(code.n + i)
     return sv
 

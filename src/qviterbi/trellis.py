@@ -126,7 +126,7 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
         else:
             shift = code.n - t * b
             stack.extend((t - 1, frm, suffix | (label << shift)) for frm, label in preds[t - 1][state])
-    return DecodeResult(best_metric, tuple(BitVector.from_index(w, code.n) for w in sorted(words)))
+    return DecodeResult(best_metric, tuple(BitVector(code.n, w) for w in sorted(words)))
 
 
 def ml_brute_force(code: Code, received: BitVector) -> DecodeResult:
@@ -136,5 +136,5 @@ def ml_brute_force(code: Code, received: BitVector) -> DecodeResult:
     r = received.to_index()
     metrics = [(w ^ r).bit_count() for w in code.codewords]
     best_metric = min(metrics)
-    best = tuple(BitVector.from_index(w, code.n) for w, m in zip(code.codewords, metrics) if m == best_metric)
+    best = tuple(BitVector(code.n, w) for w, m in zip(code.codewords, metrics) if m == best_metric)
     return DecodeResult(best_metric, best)

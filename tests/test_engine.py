@@ -75,7 +75,7 @@ class TestRunPqc:
     def test_folded_matches_full_register(self, name, all_builtins):
         code = all_builtins[name]
         rng = np.random.default_rng(17)
-        r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+        r = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
         beta, gamma = float(rng.uniform(0, TWO_PI)), float(rng.uniform(0, TWO_PI))
         params = QaoaParams((beta,) * 2, (gamma,) * 2, uniform=True)
         folded = run_pqc(code, r, params, CircuitMode.FOLDED)
@@ -269,7 +269,7 @@ def test_every_draw_starts_from_its_own_seed(trainer, mode, lbc_633):
 def test_variational_lower_bound(name, all_builtins):
     code = all_builtins[name]
     rng = np.random.default_rng(23)
-    r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+    r = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
     f_min = ml_brute_force(code, r).best_metric
     for _ in range(15):
         p = int(rng.integers(1, 4))

@@ -13,7 +13,6 @@ from qviterbi import (
     code_from_codewords,
     eigenvalue_of,
     fourier_expand_xor,
-    hamming_distance,
 )
 from qviterbi.problem import DecodeProblem, fwht
 from conftest import BUILTIN_NAMES
@@ -28,7 +27,7 @@ def g_matrix(code):
 
     Rows and columns follow ``code.codespace``.
     """
-    problem = DecodeProblem(code, BitVector.zero(code.n))
+    problem = DecodeProblem(code, BitVector(code.n, 0))
     size = problem.codewords.size
     g = np.array([fwht(fwht(e) * problem.spectrum) / size for e in np.eye(size)])
     assert np.allclose(g, np.rint(g), atol=1e-12)
@@ -73,7 +72,7 @@ class TestCostHamiltonian:
         h = build_cost_hamiltonian(n)
         for x in range(1 << n):
             for r in range(1 << n):
-                state = BitVector.from_index((x << n) | r, 2 * n)
+                state = BitVector(2 * n, (x << n) | r)
                 assert eigenvalue_of(h, state) == (x ^ r).bit_count()
 
     def test_locality(self):
@@ -155,7 +154,7 @@ class TestMixerHamiltonian:
         assert term_supports(h) == {frozenset({2})}
 
     def test_zero_code_raises(self):
-        code = code_from_codewords([BitVector.zero(3)])
+        code = code_from_codewords([BitVector(3, 0)])
         with pytest.raises(EmptyMixerError):
             build_mixer_hamiltonian(code)
 
@@ -197,7 +196,7 @@ class TestGMatrix:
     def test_zero_code(self):
         # The zero code has no minimum-weight word, so there is no mixer to compile.
         with pytest.raises(EmptyMixerError):
-            g_matrix(code_from_codewords([BitVector.zero(3)]))
+            g_matrix(code_from_codewords([BitVector(3, 0)]))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symmetric_zero_diagonal(self, name, all_builtins):
@@ -229,7 +228,7 @@ class TestGMatrix:
         words = code.codespace
         for j, a in enumerate(words):
             for k, b in enumerate(words):
-                assert g[j, k] == int(j != k and hamming_distance(a, b) == code.d)
+                assert g[j, k] == int(j != k and (a.to_index() ^ b.to_index()).bit_count() == code.d)
 
 
 class TestSerialization:

@@ -20,7 +20,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def objectives(code, mode, dims, seed):
     """Two fresh, identically seeded decode objectives over ``dims`` angles."""
     rng = np.random.default_rng(child_seed(seed, 99))
-    received = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+    received = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
     problem = DecodeProblem(code, received)
     p = dims // 2
 

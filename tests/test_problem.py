@@ -54,7 +54,7 @@ def decode_cases(draw):
     else:
         # The same code ingested as an explicit codeword list.
         code = code_from_codewords([BitVector.from_string(w) for w in span_words(rows)])
-    received = BitVector(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    received = BitVector.from_string("".join(map(str, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
     p = draw(st.integers(1, 3))
     angle = st.floats(0.0, TWO_PI, allow_nan=False)
     betas = draw(st.lists(angle, min_size=p, max_size=p))
@@ -127,9 +127,9 @@ def cyclic_generator(poly, n):
 def test_wide_codes_match_dense(rows, nkd):
     code = code_from_generator(Gf2Matrix.from_rows(rows))
     assert (code.n, code.k, code.d) == nkd
-    assert (DecodeProblem(code, BitVector.zero(code.n)).transform is fwht) == (code.k > DENSE_WALSH_MAX_K)
+    assert (DecodeProblem(code, BitVector(code.n, 0)).transform is fwht) == (code.k > DENSE_WALSH_MAX_K)
     rng = np.random.default_rng(5)
-    received = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+    received = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
     for p in (1, 2):
         assert_matches_dense(code, received, rng.uniform(0, TWO_PI, p), rng.uniform(0, TWO_PI, p))
 
@@ -138,7 +138,7 @@ def test_wide_codes_match_dense(rows, nkd):
 def test_codewords_follow_codespace_order(name, all_builtins):
     code = all_builtins[name]
     problem = DecodeProblem(code, code.codespace[-1])
-    assert [BitVector.from_index(int(w), code.n) for w in problem.codewords] == list(code.codespace)
+    assert [BitVector(code.n, int(w)) for w in problem.codewords] == list(code.codespace)
     assert problem.distances.tolist() == [
         (w.to_index() ^ code.codespace[-1].to_index()).bit_count() for w in code.codespace
     ]
@@ -146,7 +146,7 @@ def test_codewords_follow_codespace_order(name, all_builtins):
 
 def test_spectrum_is_mixer_eigenvalues(lbc_633):
     # lambda_t = sum over min-weight messages mu of (-1)^popcount(t & mu).
-    problem = DecodeProblem(lbc_633, BitVector.zero(6))
+    problem = DecodeProblem(lbc_633, BitVector(6, 0))
     messages = [m for m, w in enumerate(problem.codewords) if bin(int(w)).count("1") == lbc_633.d]
     expected = [sum((-1) ** bin(t & m).count("1") for m in messages) for t in range(8)]
     assert problem.spectrum.tolist() == expected
@@ -202,6 +202,6 @@ def test_sampled_counts_match_dense_measurement(conv_code):
 
 @pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
 def test_zero_code_raises_empty_mixer(trainer):
-    code = code_from_codewords([BitVector.zero(3)])
+    code = code_from_codewords([BitVector(3, 0)])
     with pytest.raises(EmptyMixerError):
         trainer(code, BitVector.from_string("101"), p=2, q=1, shots=10, seed=0)

@@ -113,7 +113,7 @@ class TestStatePreparation:
         assert np.allclose(np.abs(sv.amplitudes[sorted(expected)]), 1 / math.sqrt(8))
 
     def test_zero_code_untouched(self):
-        code = code_from_codewords([BitVector.zero(3)])
+        code = code_from_codewords([BitVector(3, 0)])
         sv = prepare_uniform_codespace(code)
         assert sv.amplitudes[0] == 1.0
 
@@ -128,7 +128,6 @@ class TestStatePreparation:
             generator=Gf2Matrix.from_rows(rows),
             parity_check=Gf2Matrix(2, ()),
             codewords=(0, 1, 2, 3),
-            codespace=(bv("00"), bv("01"), bv("10"), bv("11")),
         )
         with pytest.raises(StatePrepError):
             prepare_uniform_codespace(bad)
@@ -162,7 +161,7 @@ class TestCostUnitary:
     def test_folded_matches_full_register(self, name, all_builtins):
         code = all_builtins[name]
         rng = np.random.default_rng(5)
-        r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
+        r = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
         gamma = float(rng.uniform(0, 2 * math.pi))
 
         folded = prepare_uniform_codespace(code)

@@ -27,7 +27,7 @@ class TestBuildTrellis:
         assert trellis.depth == 7
 
     def test_zero_code_single_path(self):
-        code = code_from_codewords([BitVector.zero(4)])
+        code = code_from_codewords([BitVector(4, 0)])
         trellis = build_trellis(code)
         assert trellis.path_count() == 1
         result = viterbi_decode(trellis, bv("1111"))
@@ -78,12 +78,12 @@ class TestViterbiDecode:
         # 1200 sections, more than Python's default recursion limit of 1000.
         n = 1200
         trellis = build_trellis(code_from_generator(Gf2Matrix.from_rows([[1] * n])))
-        result = viterbi_decode(trellis, BitVector((1,) * n))
+        result = viterbi_decode(trellis, bv("1" * n))
         assert result.best_metric == 0
-        assert result.best_codewords == (BitVector((1,) * n),)
-        result = viterbi_decode(trellis, BitVector((1,) * (n // 2) + (0,) * (n // 2)))
+        assert result.best_codewords == (bv("1" * n),)
+        result = viterbi_decode(trellis, bv("1" * (n // 2) + "0" * (n // 2)))
         assert result.best_metric == n // 2
-        assert result.best_codewords == (BitVector.zero(n), BitVector((1,) * n))
+        assert result.best_codewords == (BitVector(n, 0), bv("1" * n))
 
 
 class TestBruteForce:
@@ -107,7 +107,7 @@ def test_oracle_agreement_exhaustive(name, all_builtins):
     code = all_builtins[name]
     trellis = build_trellis(code)
     for v in range(1 << code.n):
-        r = BitVector.from_index(v, code.n)
+        r = BitVector(code.n, v)
         via_trellis = viterbi_decode(trellis, r)
         via_scan = ml_brute_force(code, r)
         assert via_trellis.best_metric == via_scan.best_metric
@@ -120,8 +120,8 @@ def test_metric_bounded_by_received_weight(name, all_builtins):
     trellis = build_trellis(code)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        r = BitVector(tuple(rng.integers(0, 2, code.n).tolist()))
-        assert viterbi_decode(trellis, r).best_metric <= r.weight
+        r = BitVector.from_string("".join(map(str, rng.integers(0, 2, code.n).tolist())))
+        assert viterbi_decode(trellis, r).best_metric <= str(r).count("1")
 
 
 @st.composite
@@ -137,7 +137,7 @@ def random_codes(draw):
         code = code_from_codewords(words, branch_bits=2 if how == "sections" else 1)
     n = len(rows[0])
     received = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
-    return rows, code, [BitVector(tuple(r)) for r in received]
+    return rows, code, [BitVector.from_string("".join(map(str, r))) for r in received]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -146,6 +146,7 @@ def test_random_codes_trellis_matches_brute_force(case):
     rows, code, received = case
     assert Gf2Matrix.from_rows(rows).to_array().tolist() == rows
     assert code.generator.rref()[0] == code.generator
+    assert [str(c) for c in code.codespace] == span_words(rows)
     g = np.array(rows, dtype=np.int64)
     h = code.parity_check.to_array().astype(np.int64)
     assert not (g @ h.T % 2).any()
