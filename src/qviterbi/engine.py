@@ -13,9 +13,11 @@ a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
 an evaluation takes microseconds: for k up to ``problem.DENSE_WALSH_MAX_K``
 each of its transforms is one single-threaded matrix product, above that a
 butterfly. At that size worker threads only contend for the interpreter lock,
-so the draws run one after another. The final measurement reads the ML
-optimum and its codewords off the problem's distance vector, which already
-holds every codeword's distance.
+so the draws run one after another. Each draw compiles its objective once,
+``problem.cost(start, shots, rng)``, and Nelder-Mead calls it through the
+strategy's ``layers`` alone; the landscape scan reads the exact cost the same
+way. The final measurement reads the ML optimum and its codewords off the
+problem's distance vector, which already holds every codeword's distance.
 
 ``run_pqc`` and the ``expectation_*`` functions keep the dense statevector path
 as the reference that tests and state dumps use, and the benchmark re-scores
@@ -208,31 +210,6 @@ def expectation_sampled(sv: Statevector, received: BitVector, shots: int, seed: 
     return total / shots
 
 
-class _Evaluator:
-    """Cost of one parameter point for draw ``draw`` of round ``stage``.
-
-    In sampled mode the draw's one generator,
-    ``default_rng(child_seed(master, EVAL, stage, draw))``, is built here and
-    every evaluation takes its shots from it in call order; exact mode builds
-    none.
-    """
-
-    def __init__(self, problem: DecodeProblem, mode: str, shots: int, master: int, stage: int, draw: int):
-        if mode not in ("exact", "sampled"):
-            raise ValueError("mode must be 'exact' or 'sampled'")
-        self.problem = problem
-        self.shots = shots
-        self.rng = None
-        if mode == "sampled":
-            self.rng = np.random.default_rng(child_seed(master, _ROLE_EVAL, stage, draw))
-
-    def __call__(self, betas, gammas, start: np.ndarray | None = None) -> float:
-        probs = self.problem.probabilities(betas, gammas, start)
-        if self.rng is None:
-            return self.problem.expectation(probs)
-        return self.problem.expectation_sampled(probs, self.shots, self.rng)
-
-
 def _finish(
     strategy: str,
     problem: DecodeProblem,
@@ -289,6 +266,8 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
         raise ValueError("q must be at least 1")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}")
+    if mode not in ("exact", "sampled"):
+        raise ValueError("mode must be 'exact' or 'sampled'")
     problem = DecodeProblem(code, received)
     prefix = QaoaParams((), ())
     for stage in range(stages):
@@ -301,8 +280,9 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
         records = []
         for j in range(q):
             x0 = np.random.default_rng(child_seed(seed, _ROLE_INIT, stage, j)).uniform(0.0, TWO_PI, dim)
-            evaluator = _Evaluator(problem, mode, shots, seed, stage, j)
-            res = minimize(lambda v: evaluator(*layers(v), start), x0, **_NM_OPTIONS)
+            rng = np.random.default_rng(child_seed(seed, _ROLE_EVAL, stage, j)) if mode == "sampled" else None
+            cost = problem.cost(start, shots, rng)
+            res = minimize(lambda v: cost(*layers(v)), x0, **_NM_OPTIONS)
             records.append(DrawRecord(params(x0), params(res.x).canonical(), res.fun, res.success))
         best = min(records, key=lambda rec: rec.expectation)
         prefix = best.final_params
@@ -376,12 +356,12 @@ def landscape_scan(code: Code, received: BitVector, p: int, grid: int) -> np.nda
         raise ValueError("grid must be at least 2")
     if grid * grid > MAX_LANDSCAPE_ROWS:
         raise ValueError(f"grid**2 = {grid * grid} rows exceeds the limit of {MAX_LANDSCAPE_ROWS}")
-    problem = DecodeProblem(code, received)
+    cost = DecodeProblem(code, received).cost()
     axis = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     rows = np.empty((grid * grid, 3), dtype=float)
     i = 0
     for beta in axis:
         for gamma in axis:
-            rows[i] = (beta, gamma, problem.expectation(problem.probabilities((beta,) * p, (gamma,) * p)))
+            rows[i] = (beta, gamma, cost((beta,) * p, (gamma,) * p))
             i += 1
     return rows

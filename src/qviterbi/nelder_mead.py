@@ -8,6 +8,17 @@ is given). It keeps SciPy's steps and floating-point operations in the same
 order, so its results equal ``scipy.optimize.minimize(method="Nelder-Mead")``
 bit for bit; the tests check that against SciPy.
 
+The simplex is held as Python lists of floats, one list per vertex, with the
+function values in a list beside it: at the trainers' 2 to 6 dimensions a
+numpy operation on a row costs more in call overhead than its arithmetic.
+Each coordinate goes through SciPy's operations in SciPy's order. Every trial
+point is ``(1 + t) * xbar - t * worst`` for SciPy's coefficient t, the inside
+contraction taking t = -psi. The centroid is added up row by row with ``+``,
+as ``np.add.reduce`` does along axis 0, never with the built-in ``sum``,
+which compensates float sums from Python 3.12 on. Vertices are ordered with
+``np.argsort`` on the values as SciPy orders them: that sort is not stable on
+ties, and a stable sort orders tied vertices differently.
+
 The port exists because importing ``scipy.optimize`` costs 0.4-0.5 s and
 49 MB of resident memory per process (2-vCPU Xeon VM, SciPy 1.17), more than
 a whole decode of a small code, and the trainers need nothing else from SciPy.
@@ -64,63 +75,78 @@ class NelderMeadResult:
     nfev: int
 
 
+def _along(xbar: list[float], worst: list[float], t: float) -> list[float]:
+    """The point (1 + t) * xbar - t * worst on the line through the centroid and the worst vertex."""
+    return [(1 + t) * a - t * w for a, w in zip(xbar, worst)]
+
+
+def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
 def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadResult:
-    """Minimise ``fun`` from ``x0`` until the simplex is within both tolerances."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64)).flatten()
+    """Minimise ``fun`` from ``x0`` until the simplex is within both tolerances.
+
+    ``fun`` receives each point as a list of floats, which it must not modify.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64)).flatten().tolist()
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim[k + 1] = y
+        sim.append(y)
 
     nfev = 0
 
     def f(x):
         nonlocal nfev
         nfev += 1
-        return fun(x.copy())
+        return float(fun(x))
 
-    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    fsim = [f(vertex) for vertex in sim]
     # SciPy sorts twice here; argsort is not stable on ties, so neither is skipped.
     for _ in range(2):
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
+        sim, fsim = _by_value(sim, fsim)
 
     iterations = 1
     while iterations < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        best = sim[0]
+        if (all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        xbar = best
+        for vertex in sim[1:-1]:
+            xbar = [a + v for a, v in zip(xbar, vertex)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = _along(xbar, worst, _RHO)
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+            xe = _along(xbar, worst, _RHO * _CHI)
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                xc = _along(xbar, worst, _PSI * _RHO)
                 fxc = f(xc)
                 shrink = not fxc <= fxr
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
             else:
-                xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                xcc = _along(xbar, worst, -_PSI)
                 fxcc = f(xcc)
                 shrink = not fxcc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xcc, fxcc
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                    sim[j] = [b + _SIGMA * (v - b) for v, b in zip(sim[j], best)]
                     fsim[j] = f(sim[j])
         iterations += 1
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
+        sim, fsim = _by_value(sim, fsim)
 
-    return NelderMeadResult(sim[0], float(np.min(fsim)), iterations < maxiter, iterations, nfev)
+    return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), iterations < maxiter, iterations, nfev)

@@ -44,11 +44,20 @@ differ, and message order is ascending codeword order. ``code.codewords`` is
 listed in that order, so index i of every vector here is its i-th word.
 
 Everything that does not depend on the angles is computed once per problem:
-the distances, the spectrum and the uniform start state. Within one call the
-two phase vectors of a layer are computed once per run of consecutive layers
-that share their (beta, gamma), so a shared-angle circuit pays for one pair of
-``exp`` calls at any depth. A caller that holds a circuit's first layers fixed
-passes their output as ``start`` and applies only the layers that follow.
+the distances, the spectrum, the uniform start state and the two phase
+generators, the rows of ``[-1j * lambda ; 0.5j * (n - 2 d)]``. A layer's mixer
+and cost phases are one ``exp`` of that (2, 2^k) array scaled by (beta, gamma),
+taken once per run of consecutive layers that share their (beta, gamma), so a
+shared-angle circuit pays for one ``exp`` at any depth. Each scaled entry
+rounds once, in whichever order angle and generator are multiplied: its real
+part is a zero, and its imaginary part is the one rounded product -lambda *
+beta, or w * gamma halved, since halving is exact. A caller that holds a
+circuit's first layers fixed passes their output as ``start`` and applies only
+the layers that follow.
+
+``cost`` compiles one optimizer draw's objective: it binds the frozen prefix's
+output and, in sampled mode, the draw's generator, so an evaluation is the
+layer loop of ``amplitudes`` and the expectation, with no further dispatch.
 """
 from __future__ import annotations
 
@@ -134,7 +143,8 @@ class DecodeProblem:
         self.codewords = words
         self.distances = popcounts(words ^ received.to_index(), code.n)
         self.spectrum = fwht(min_weight.astype(np.float64))
-        self._cost_weights = code.n - 2 * self.distances
+        self._phase_generators = np.array([-1j * self.spectrum, 0.5j * (code.n - 2 * self.distances)])
+        self._float_distances = self.distances.astype(np.float64)
         self.start = np.full(words.size, 1.0 / np.sqrt(words.size), dtype=np.complex128)
         self.start.flags.writeable = False
         self.transform = walsh_transform(code.k)
@@ -147,15 +157,15 @@ class DecodeProblem:
         The layers act on ``start``, the output of earlier layers, if it is
         given, else on the uniform start state; ``start`` is not modified.
         """
-        size = self.codewords.size
+        transform = self.transform
         psi = self.start if start is None else start
         angles = None
         for beta, gamma in zip(betas, gammas):
             if (beta, gamma) != angles:
                 angles = (beta, gamma)
-                mixer_phase = np.exp(-1j * beta * self.spectrum) / size
-                cost_phase = np.exp(1j * 0.5 * gamma * self._cost_weights)
-            psi = self.transform(self.transform(psi) * mixer_phase)
+                phases = np.exp(self._phase_generators * ((beta,), (gamma,)))
+                mixer_phase, cost_phase = phases[0] / psi.size, phases[1]
+            psi = transform(transform(psi) * mixer_phase)
             psi *= cost_phase
         return psi.copy() if angles is None else psi
 
@@ -166,7 +176,7 @@ class DecodeProblem:
 
     def expectation(self, probs: np.ndarray) -> float:
         """Exact cost expectation: sum over codewords of prob * distance."""
-        return float(np.dot(probs, self.distances))
+        return float(np.dot(probs, self._float_distances))
 
     def sample(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> np.ndarray:
         """Seeded multinomial counts over the codewords.
@@ -183,6 +193,32 @@ class DecodeProblem:
     def expectation_sampled(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> float:
         """Cost expectation estimated from a seeded finite-shot measurement."""
         return int(np.dot(self.sample(probs, shots, seed), self.distances)) / shots
+
+    def cost(
+        self, start: np.ndarray | None = None, shots: int = 0, rng: np.random.Generator | None = None
+    ) -> Callable[[Sequence[float], Sequence[float]], float]:
+        """One optimizer draw's objective ``f(betas, gammas)``, the circuit's cost expectation.
+
+        The layers act on ``start`` as in ``amplitudes``. Without ``rng`` a
+        call returns ``expectation(probabilities(betas, gammas, start))``;
+        with it, ``expectation_sampled(..., shots, rng)``, every call taking
+        its shots from ``rng`` in call order.
+        """
+        amplitudes = self.amplitudes
+        if rng is None:
+            distances = self._float_distances
+
+            def exact(betas: Sequence[float], gammas: Sequence[float]) -> float:
+                return float(np.dot(np.abs(amplitudes(betas, gammas, start)) ** 2, distances))
+
+            return exact
+        distances = self.distances
+
+        def sampled(betas: Sequence[float], gammas: Sequence[float]) -> float:
+            probs = np.abs(amplitudes(betas, gammas, start)) ** 2
+            return int(np.dot(rng.multinomial(shots, probs / probs.sum()), distances)) / shots
+
+        return sampled
 
     def bit_string(self, index: int) -> str:
         return format(int(self.codewords[index]), f"0{self.n}b")

@@ -18,7 +18,7 @@ from qviterbi import (
     train_random,
     train_upo,
 )
-from qviterbi.engine import _ROLE_EVAL, _ROLE_INIT, TWO_PI, _Evaluator, child_seed
+from qviterbi.engine import _ROLE_EVAL, _ROLE_INIT, _ROLE_MEASURE, TWO_PI, child_seed
 from qviterbi.nelder_mead import minimize
 from qviterbi.problem import DecodeProblem
 from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
@@ -364,15 +364,20 @@ class TestSeedSplit:
         monkeypatch.setattr(engine, "minimize", wasteful_minimize)
         assert trainer(**args) == plain
 
-    def test_exact_mode_builds_no_generator(self, lbc_633):
+    def test_exact_mode_builds_no_generator(self, lbc_633, monkeypatch):
         problem = DecodeProblem(lbc_633, bv("111011"))
-        evaluator = _Evaluator(problem, "exact", 500, 5, stage=0, draw=0)
-        assert evaluator.rng is None
-        assert evaluator((0.4,), (2.1,)) == problem.expectation(problem.probabilities((0.4,), (2.1,)))
+        assert problem.cost()((0.4,), (2.1,)) == problem.expectation(problem.probabilities((0.4,), (2.1,)))
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(s) or default_rng(s))
+        train_upo(lbc_633, bv("111011"), p=1, q=2, shots=500, seed=5)
+        # The draws' starting points and the final measurement; no draw builds an EVAL generator.
+        assert seeds == [child_seed(5, _ROLE_INIT, 0, 0), child_seed(5, _ROLE_INIT, 0, 1),
+                         child_seed(5, _ROLE_MEASURE)]
 
     def test_negative_master_raises(self, lbc_633):
         with pytest.raises(ValueError):
-            _Evaluator(DecodeProblem(lbc_633, bv("111011")), "sampled", 10, -1, stage=0, draw=0)
+            train_upo(lbc_633, bv("111011"), p=1, q=1, shots=10, seed=-1, mode="sampled")
 
     def test_json_round_trip_shape(self, lbc_633):
         result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)

@@ -1,4 +1,5 @@
 """The in-package Nelder-Mead port against SciPy, and the import it avoids."""
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from qviterbi import BitVector
-from qviterbi.engine import _NM_OPTIONS, TWO_PI, _Evaluator, child_seed
+from qviterbi.engine import _NM_OPTIONS, _ROLE_EVAL, TWO_PI, child_seed
 from qviterbi.nelder_mead import minimize
 from qviterbi.problem import DecodeProblem
 from conftest import BUILTIN_NAMES
@@ -25,8 +26,9 @@ def objectives(code, mode, dims, seed):
     p = dims // 2
 
     def make():
-        evaluator = _Evaluator(problem, mode, 200, seed, 0, 0)
-        return lambda v: evaluator(v[:p], v[p:])
+        rng = np.random.default_rng(child_seed(seed, _ROLE_EVAL, 0, 0)) if mode == "sampled" else None
+        cost = problem.cost(None, 200, rng)
+        return lambda v: cost(v[:p], v[p:])
 
     return make(), make(), rng.uniform(0.0, TWO_PI, dims)
 
@@ -57,6 +59,30 @@ def test_matches_scipy_on_a_quadratic():
     ref = scipy_optimize.minimize(bowl, x0, method="Nelder-Mead", options=_NM_OPTIONS)
     assert ours.success and np.array_equal(ours.x, ref.x)
     assert (ours.fun, ours.nit, ours.nfev) == (ref.fun, ref.nit, ref.nfev)
+
+
+def staircase(v):
+    """floor of the squared distance to (1, ..., 1): a bowl of many tied levels."""
+    d = 0.0
+    for a in v:
+        d = d + (a - 1.0) * (a - 1.0)
+    return float(math.floor(d))
+
+
+@pytest.mark.parametrize("fun,x0", [
+    (lambda v: 2.5, [0.3, 1.2]),  # every vertex ties
+    (lambda v: 2.5, [0.3, 1.2, 4.0, 0.0, 5.5, 2.2]),
+    (lambda v: 1.0 if v[0] > 0.31 else -1.0, [0.3, 1.2]),  # two levels
+    (lambda v: 1.0 if v[0] > 0.31 else -1.0, [0.3, 1.2, 4.0, 0.0, 5.5, 2.2]),
+    # Here numpy's argsort orders tied vertices unlike a stable sort, and the
+    # result depends on that order.
+    (staircase, [0.3, 1.2, 4.0, 0.0, 5.5, 2.2]),
+])
+def test_matches_scipy_on_exact_ties(fun, x0):
+    ours = minimize(fun, x0, **_NM_OPTIONS)
+    ref = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    assert np.array_equal(ours.x, ref.x)
+    assert (ours.fun, ours.success, ours.nit, ours.nfev) == (ref.fun, ref.success, ref.nit, ref.nfev)
 
 
 def test_import_loads_no_scipy():

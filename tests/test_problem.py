@@ -82,6 +82,25 @@ def test_frozen_prefix_start_equals_full_recomputation(case):
         assert np.array_equal(frozen, problem.amplitudes(betas[:cut], gammas[:cut]))
 
 
+angles = st.lists(st.floats(0.0, TWO_PI, allow_nan=False), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(decode_cases(), angles, angles, st.integers(0, 2**32 - 1))
+def test_compiled_cost_is_the_reference_composition(case, prefix_betas, prefix_gammas, seed):
+    # An optimizer draw's objective, after a frozen prefix, in exact and in sampled mode.
+    code, received, betas, gammas = case
+    problem = DecodeProblem(code, received)
+    start = problem.amplitudes(prefix_betas, prefix_gammas)
+    probs = problem.probabilities(betas, gammas, start)
+    exact = problem.cost(start)(betas, gammas)
+    assert exact == problem.expectation(probs) == float(np.dot(probs, problem.distances))
+    sampled = problem.cost(start, 64, np.random.default_rng(seed))
+    reference = np.random.default_rng(seed)
+    for _ in range(3):
+        assert sampled(betas, gammas) == problem.expectation_sampled(probs, 64, reference)
+
+
 def per_layer_amplitudes(problem, betas, gammas):
     """Reference circuit in which every layer computes its phase vectors afresh."""
     size = problem.codewords.size

@@ -155,5 +155,12 @@ def test_random_codes_trellis_matches_brute_force(case):
     trellis = build_trellis(code)
     assert trellis.path_count() == 1 << code.k
     assert trellis.node_layers[0] == trellis.node_layers[-1] == (0,)
+    # The states at a cut are H times each codeword's bits before it, the first check row leading.
+    words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
+    leading = 1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64)
+    for t, layer in enumerate(trellis.node_layers):
+        prefix = words.copy()
+        prefix[:, t * code.branch_bits:] = 0
+        assert layer == tuple(sorted(set((prefix @ h.T % 2 @ leading).tolist())))
     for r in received:
         assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
