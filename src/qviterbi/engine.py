@@ -13,7 +13,7 @@ a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace, so
 an evaluation takes microseconds: for k up to ``problem.DENSE_WALSH_MAX_K``
 each of its transforms is one single-threaded matrix product, above that a
 butterfly. At that size worker threads only contend for the interpreter lock,
-so the draws run one after another. Each draw compiles its objective once,
+so the draws run one after another. Each draw binds its objective once,
 ``problem.cost(start, shots, rng)``, and Nelder-Mead calls it through the
 strategy's ``layers`` alone; the landscape scan reads the exact cost the same
 way. The final measurement reads the ML optimum and its codewords off the

@@ -55,9 +55,9 @@ beta, or w * gamma halved, since halving is exact. A caller that holds a
 circuit's first layers fixed passes their output as ``start`` and applies only
 the layers that follow.
 
-``cost`` compiles one optimizer draw's objective: it binds the frozen prefix's
-output and, in sampled mode, the draw's generator, so an evaluation is the
-layer loop of ``amplitudes`` and the expectation, with no further dispatch.
+``cost`` binds one optimizer draw's objective: the frozen prefix's output and,
+in sampled mode, the draw's generator, over ``probabilities`` and
+``expectation`` or ``expectation_sampled``, so there is one formula for each.
 """
 from __future__ import annotations
 
@@ -204,21 +204,9 @@ class DecodeProblem:
         with it, ``expectation_sampled(..., shots, rng)``, every call taking
         its shots from ``rng`` in call order.
         """
-        amplitudes = self.amplitudes
         if rng is None:
-            distances = self._float_distances
-
-            def exact(betas: Sequence[float], gammas: Sequence[float]) -> float:
-                return float(np.dot(np.abs(amplitudes(betas, gammas, start)) ** 2, distances))
-
-            return exact
-        distances = self.distances
-
-        def sampled(betas: Sequence[float], gammas: Sequence[float]) -> float:
-            probs = np.abs(amplitudes(betas, gammas, start)) ** 2
-            return int(np.dot(rng.multinomial(shots, probs / probs.sum()), distances)) / shots
-
-        return sampled
+            return lambda betas, gammas: self.expectation(self.probabilities(betas, gammas, start))
+        return lambda betas, gammas: self.expectation_sampled(self.probabilities(betas, gammas, start), shots, rng)
 
     def bit_string(self, index: int) -> str:
         return format(int(self.codewords[index]), f"0{self.n}b")

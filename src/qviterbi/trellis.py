@@ -65,23 +65,12 @@ def build_trellis(code: Code) -> Trellis:
     codeword, so the paths are exactly the codewords.
     """
     b = code.branch_bits
-    # columns[i] is H's column at word bit i (bit 0 the rightmost), the first
-    # check row its most significant bit; built from each row's set bits.
     check_rows = code.parity_check.words
-    columns = [0] * code.n
-    for r, row in enumerate(check_rows):
-        check_bit = 1 << (len(check_rows) - 1 - r)
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] |= check_bit
-            row ^= low
 
-    def step(label: int, shift: int) -> int:
-        """H (label << shift): the XOR of H's columns at the label's set bits."""
+    def syndrome(word: int) -> int:
         s = 0
-        for i in range(b):
-            if (label >> i) & 1:
-                s ^= columns[shift + i]
+        for row in check_rows:
+            s = (s << 1) | ((row & word).bit_count() & 1)
         return s
 
     states = [0] * len(code.codewords)
@@ -90,8 +79,8 @@ def build_trellis(code: Code) -> Trellis:
     for t in range(code.n // b):
         shift = code.n - (t + 1) * b
         labels = [(w >> shift) & ((1 << b) - 1) for w in code.codewords]
-        steps = {v: step(v, shift) for v in set(labels)}
-        nxt = [s ^ steps[v] for s, v in zip(states, labels)]
+        step = {v: syndrome(v << shift) for v in set(labels)}
+        nxt = [s ^ step[v] for s, v in zip(states, labels)]
         branch_layers.append(tuple(set(zip(states, labels, nxt))))
         node_layers.append(tuple(sorted(set(nxt))))
         states = nxt

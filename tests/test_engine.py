@@ -378,6 +378,9 @@ class TestSeedSplit:
     def test_negative_master_raises(self, lbc_633):
         with pytest.raises(ValueError):
             train_upo(lbc_633, bv("111011"), p=1, q=1, shots=10, seed=-1, mode="sampled")
+        # The draw's EVAL generator is derived from the master too.
+        with pytest.raises(ValueError):
+            child_seed(-1, _ROLE_EVAL, 0, 0)
 
     def test_json_round_trip_shape(self, lbc_633):
         result = train_upo(lbc_633, bv("111011"), p=1, q=1, shots=100, seed=0)
