@@ -1,16 +1,16 @@
-"""Binary linear codes over GF(2): bit vectors, matrices, codespaces, distances.
+"""Binary linear codes over GF(2): words, generator and parity-check matrices, codespaces.
 
 A word is one int. Bit 1 of a word is the leftmost character of its printed
 string, maps to qubit index 0, and is the most significant bit of the int.
 A ``BitVector`` is ``(length, value)``, the int with its printed length; a
 GF(2) matrix holds one such int per row, so rows and codewords share one format.
+Everything here is Python int arithmetic, so loading a code imports no array
+library.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import LengthError, NotLinearError, RankError
 
@@ -49,14 +49,6 @@ class BitVector:
         return self.value
 
 
-def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
-    """Hamming weight of each integer in ``values`` that fits in ``num_bits`` bits."""
-    counts = np.zeros(values.shape, dtype=np.int64)
-    for b in range(num_bits):
-        counts += (values >> b) & 1
-    return counts
-
-
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Binary matrix with one integer per row (leftmost column most significant)."""
@@ -85,10 +77,6 @@ class Gf2Matrix:
                 if type(x) is not int or x not in (0, 1):
                     raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
         return cls(ncols, tuple(sum(x << (ncols - 1 - j) for j, x in enumerate(r)) for r in rows))
-
-    def to_array(self) -> np.ndarray:
-        bits = [[(w >> (self.cols - 1 - j)) & 1 for j in range(self.cols)] for w in self.words]
-        return np.array(bits, dtype=np.uint8).reshape(self.rows, self.cols)
 
     def rref(self) -> tuple[Gf2Matrix, tuple[int, ...]]:
         """Reduced row-echelon form over GF(2) with zero rows dropped.

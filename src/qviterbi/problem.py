@@ -66,12 +66,20 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .codes import BitVector, Code, popcounts
+from .codes import BitVector, Code
 from .errors import EmptyMixerError, LengthError
 
 MAX_WORD_BITS = 63  # codewords are held as int64
 DENSE_WALSH_MAX_K = 8  # largest k whose transform is one matrix product
 COMPLEX_PRODUCT_MAX_K = 5  # largest k whose complex product OpenBLAS keeps on one thread
+
+
+def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Hamming weight of each integer in ``values`` that fits in ``num_bits`` bits."""
+    counts = np.zeros(values.shape, dtype=np.int64)
+    for b in range(num_bits):
+        counts += (values >> b) & 1
+    return counts
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ import math
 
 import numpy as np
 
-from .codes import BitVector, Code, popcounts
+from .codes import BitVector, Code
 from .errors import LengthError, StatePrepError
 from .hamiltonians import PauliHamiltonian
+from .problem import popcounts
 
 MAX_QUBITS = 24
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -67,6 +68,12 @@ def generators(draw, max_n=6, even_n=False):
         return [[int(i == j) for j in range(k)] + parity[i] for i in range(k)]
     return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=k, max_size=k)
                 .filter(lambda rows: _rank(rows) == k))
+
+
+def bit_array(matrix):
+    """The entries of a ``Gf2Matrix`` as a (rows, cols) uint8 array, read off its row words."""
+    bits = [[(w >> (matrix.cols - 1 - j)) & 1 for j in range(matrix.cols)] for w in matrix.words]
+    return np.array(bits, dtype=np.uint8).reshape(matrix.rows, matrix.cols)
 
 
 def span_words(rows):

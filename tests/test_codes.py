@@ -26,6 +26,7 @@ from conftest import (
     MIN_WEIGHT_633,
     MIN_WEIGHT_CONV,
     PARITY_633,
+    bit_array,
 )
 
 
@@ -80,7 +81,7 @@ class TestCodeFromGenerator:
         assert (lbc_633.n, lbc_633.k, lbc_633.d) == (6, 3, 3)
 
     def test_633_parity_check(self, lbc_633):
-        assert lbc_633.parity_check.to_array().tolist() == PARITY_633
+        assert bit_array(lbc_633.parity_check).tolist() == PARITY_633
 
     def test_single_bit_code(self):
         code = code_from_generator(Gf2Matrix.from_rows([[1]]))
@@ -158,7 +159,7 @@ class TestCodeInvariants:
 
     def test_parity_check_is_bidirectional(self, name, all_builtins):
         code = all_builtins[name]
-        h = code.parity_check.to_array()
+        h = bit_array(code.parity_check)
         members = {c.to_index() for c in code.codespace}
         for v in range(1 << code.n):
             word = np.array([int(b) for b in str(BitVector(code.n, v))], dtype=np.uint8)

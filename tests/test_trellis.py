@@ -13,7 +13,7 @@ from qviterbi import (
     ml_brute_force,
     viterbi_decode,
 )
-from conftest import BUILTIN_NAMES, generators, span_words
+from conftest import BUILTIN_NAMES, bit_array, generators, span_words
 
 
 def bv(s):
@@ -144,11 +144,11 @@ def random_codes(draw):
 @given(random_codes())
 def test_random_codes_trellis_matches_brute_force(case):
     rows, code, received = case
-    assert Gf2Matrix.from_rows(rows).to_array().tolist() == rows
+    assert bit_array(Gf2Matrix.from_rows(rows)).tolist() == rows
     assert code.generator.rref()[0] == code.generator
     assert [str(c) for c in code.codespace] == span_words(rows)
     g = np.array(rows, dtype=np.int64)
-    h = code.parity_check.to_array().astype(np.int64)
+    h = bit_array(code.parity_check).astype(np.int64)
     assert not (g @ h.T % 2).any()
     assert h.shape == (code.n - code.k, code.n)
     assert code.parity_check.rank() == code.n - code.k
