@@ -1,5 +1,8 @@
-"""The in-package Nelder-Mead port against SciPy."""
+"""The in-package Nelder-Mead port against SciPy, and the import it avoids."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from qviterbi.problem import DecodeProblem
 from conftest import BUILTIN_NAMES
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def objectives(code, mode, dims, seed):
@@ -78,3 +83,16 @@ def test_matches_scipy_on_exact_ties(fun, x0):
     ref = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=_NM_OPTIONS)
     assert np.array_equal(ours.x, ref.x)
     assert (ours.fun, ours.success, ours.nit, ours.nfev) == (ref.fun, ref.success, ref.nit, ref.nfev)
+
+
+def test_import_loads_no_scipy():
+    # numpy.random costs 13-14 ms to import, so it is loaded only when a decode runs.
+    code = (
+        "import sys, qviterbi, qviterbi.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]
