@@ -1,10 +1,13 @@
 """Hybrid variational decoding of small binary linear codes.
 
-The package builds cost and mixer Hamiltonians from any small linear code,
-simulates the layered parameterized circuit exactly on the code's 2^k
-codespace (with a dense statevector simulator as the reference), trains the
-circuit parameters, and validates every decoded result against a classical
-trellis decoder.
+The package builds the mixer Hamiltonian and the Hamming-distance cost of any
+small linear code, simulates the layered parameterized circuit exactly on the
+code's 2^k codespace, trains the circuit parameters, and validates every
+decoded result against a classical trellis decoder. One dense circuit ships
+besides the compiled one: the folded n-qubit statevector, which serves
+``--dump-state`` and the benchmark's re-score. The 2n-qubit full-register gate
+circuit and the Pauli form of the cost are test references
+(``tests/reference.py``).
 
 ``import qviterbi`` loads ``codes``, ``errors`` and ``trellis`` at once: code
 loading and the trellis oracle, pure Python on ints. The names exported from
@@ -34,7 +37,6 @@ from .codes import (
 from .errors import (
     EmptyMixerError,
     LengthError,
-    NotDiagonalError,
     NotLinearError,
     QviterbiError,
     RankError,
@@ -60,13 +62,9 @@ _LAZY = {
     **dict.fromkeys((
         "PauliHamiltonian",
         "PauliString",
-        "build_cost_hamiltonian",
         "build_mixer_hamiltonian",
-        "eigenvalue_of",
-        "fourier_expand_xor",
     ), "hamiltonians"),
     **dict.fromkeys((
-        "CircuitMode",
         "Statevector",
         "apply_cost_unitary",
         "apply_mixer_unitary",

@@ -253,28 +253,46 @@ def builtin_code(name: str) -> Code:
     return code_from_json({"name": name, **_BUILTIN_SPECS[name]})
 
 
+# The keys each code JSON shape may hold.
+_JSON_KEYS = {
+    "generator": {"name", "n", "k", "generator"},
+    "codewords": {"name", "n", "k", "codewords", "branch_bits"},
+}
+
+
 def code_from_json(obj: dict) -> Code:
     """Build a code from its JSON description.
 
     Two shapes are accepted:
     ``{"name": str, "n": int, "k": int, "generator": [[0|1, ...], ...]}`` or
-    ``{"name": str, "codewords": ["0101...", ...]}`` with an optional
-    ``"branch_bits"`` key for convolutional codeword lists. Either shape may
-    declare ``"n"`` and ``"k"``; a declared value must be an integer equal to
-    the built code's.
+    ``{"name": str, "n": int, "k": int, "codewords": ["0101...", ...],
+    "branch_bits": int}``. Only ``generator`` or ``codewords`` is required;
+    ``branch_bits`` defaults to 1. A declared ``n`` or ``k`` must be an
+    integer equal to the built code's. Any other key, or both ``generator``
+    and ``codewords``, raises ``ValueError``.
     """
     if not isinstance(obj, dict):
         raise ValueError("code JSON must be an object")
-    name = obj.get("name", "")
     if "generator" in obj:
-        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]), name=name)
+        shape = "generator"
     elif "codewords" in obj:
+        shape = "codewords"
+    else:
+        raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
+    unknown = sorted(set(obj) - _JSON_KEYS[shape])
+    if unknown:
+        raise ValueError(f"unexpected key(s) {', '.join(map(repr, unknown))} in a {shape!r} code JSON; "
+                         f"allowed: {', '.join(sorted(_JSON_KEYS[shape]))}")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    if shape == "generator":
+        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]), name=name)
+    else:
         if not isinstance(obj["codewords"], list):
             raise ValueError("codewords must be a list of bit strings")
         words = [BitVector.from_string(s) for s in obj["codewords"]]
         code = code_from_codewords(words, name=name, branch_bits=_json_int(obj, "branch_bits", 1))
-    else:
-        raise ValueError("code JSON needs either a 'generator' or a 'codewords' field")
     for key, built in (("n", code.n), ("k", code.k)):
         if key in obj and _json_int(obj, key) != built:
             raise ValueError(f"declared {key} = {obj[key]} but the code has {key} = {built}")

@@ -19,9 +19,11 @@ strategy's ``layers`` alone; the landscape scan reads the exact cost the same
 way. The final measurement reads the ML optimum and its codewords off the
 problem's distance vector, which already holds every codeword's distance.
 
-``run_pqc`` and the ``expectation_*`` functions keep the dense statevector path
-as the reference that tests and state dumps use, and the benchmark re-scores
-reports with them (``perfbench/checks.py``). The ``statevector`` names imported
+``run_pqc`` and the ``expectation_*`` functions run the same circuit on the
+folded n-qubit statevector of ``statevector``: it serves ``--dump-state``, the
+benchmark re-scores reports with it (``perfbench/checks.py``), and the tests
+check the compiled problem against it. The 2n-qubit full-register circuit is a
+test reference (``tests/reference.py``). The ``statevector`` names imported
 here, ``minimize`` and ``trellis.ml_brute_force`` are looked up in this module
 because ``perfbench/spans.py`` wraps them here; ``ml_brute_force`` also stays
 the tests' independent oracle.
@@ -48,13 +50,11 @@ from .hamiltonians import build_mixer_hamiltonian
 from .nelder_mead import minimize
 from .problem import DecodeProblem
 from .statevector import (
-    CircuitMode,
     Statevector,
     apply_cost_unitary,
     apply_mixer_unitary,
     distances_to,
     measure_counts,
-    prepare_full_register,
     prepare_uniform_codespace,
 )
 from .trellis import ml_brute_force  # noqa: F401 - perfbench/spans.py wraps this name
@@ -164,32 +164,20 @@ def child_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])
 
 
-def run_pqc(
-    code: Code,
-    received: BitVector,
-    params: QaoaParams,
-    mode: CircuitMode = CircuitMode.FOLDED,
-) -> Statevector:
-    """Prepare the codespace superposition and apply p layers.
+def run_pqc(code: Code, received: BitVector, params: QaoaParams) -> Statevector:
+    """Prepare the codespace superposition on n qubits and apply p layers.
 
-    Each layer applies the mixer first, then the cost unitary. Folded mode
-    simulates n qubits with the direct basis-pair mixer; full mode simulates
-    2n qubits with the gate-level circuits.
+    Each layer applies the mixer first, then the cost unitary.
     """
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
-    if mode is CircuitMode.FOLDED:
-        sv = prepare_uniform_codespace(code)
-        method = "pairing"
-    else:
-        sv = prepare_full_register(code, received)
-        method = "gates"
+    sv = prepare_uniform_codespace(code)
     if params.p == 0:
         return sv
     mixer = build_mixer_hamiltonian(code)
     for beta, gamma in zip(params.betas, params.gammas):
-        apply_mixer_unitary(sv, beta, mixer, method=method)
-        apply_cost_unitary(sv, gamma, received, mode)
+        apply_mixer_unitary(sv, beta, mixer)
+        apply_cost_unitary(sv, gamma, received)
     return sv
 
 

@@ -21,9 +21,5 @@ class EmptyMixerError(QviterbiError):
     """The code has no nonzero codewords, so no mixer terms exist."""
 
 
-class NotDiagonalError(QviterbiError):
-    """Operation requires a diagonal (all-Z) Hamiltonian."""
-
-
 class StatePrepError(QviterbiError):
     """Generator matrix is not in a form usable for state preparation."""

@@ -32,21 +32,6 @@ class Trellis:
     def num_instants(self) -> int:
         return len(self.branch_layers)
 
-    @property
-    def depth(self) -> int:
-        return len(self.node_layers)
-
-    def path_count(self) -> int:
-        """Number of root-to-sink paths, by forward dynamic programming."""
-        counts = {0: 1}
-        for branches in self.branch_layers:
-            nxt: dict[int, int] = {}
-            for frm, _, to in branches:
-                if frm in counts:
-                    nxt[to] = nxt.get(to, 0) + counts[frm]
-            counts = nxt
-        return counts.get(0, 0)
-
 
 @dataclass(frozen=True)
 class DecodeResult:

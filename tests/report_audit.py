@@ -5,7 +5,9 @@
 PARENT_SRC and CHANGE_SRC are each a directory that holds the ``qviterbi``
 package (a checkout's ``src``). Each tree runs, in one fresh process of its
 own, the first N requests (default 200) of every workload that
-``perfbench/workloads.make_inputs`` generates for seed 1, and then the
+``perfbench/workloads.make_inputs`` generates for seed 1, then the same
+decode_small requests with ``--dump-state`` appended (every decode_small code
+has n <= 14, so each report carries the final statevector), and then the
 ``landscape`` CSV of each built-in code at ``--grid 16`` for p = 1 and p = 3,
 all through ``qviterbi.cli.main``. The script prints the identical count per
 workload and the first mismatches, and exits 1 if any request's stdout or
@@ -29,11 +31,12 @@ LANDSCAPES = {"lbc_321": "011", "lbc_633": "111011", "conv_r12_m2": "1101100111"
 
 
 def requests(n: int, codes_dir: str) -> dict[str, list[list[str]]]:
-    """Workload (or ``landscape``) -> the argv lists to run, in order."""
+    """Workload (or ``dump_state`` or ``landscape``) -> the argv lists to run, in order."""
     sys.path.insert(0, PERFBENCH)
     from workloads import WORKLOADS, make_inputs
 
     runs = {w: [list(r.argv) for r in make_inputs(w, SEED, codes_dir).requests[:n]] for w in sorted(WORKLOADS)}
+    runs["dump_state"] = [argv + ["--dump-state"] for argv in runs["decode_small"]]
     runs["landscape"] = [["landscape", "--code", code, "--received", received, "--grid", "16", "--p", p]
                          for code, received in LANDSCAPES.items() for p in ("1", "3")]
     return runs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qviterbi import BitVector, builtin_code, cli, landscape_scan
-from conftest import reed_muller_1, span_words
+from conftest import CODESPACE_633, reed_muller_1, span_words
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -81,6 +81,10 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     DECODE + ["--mode", "sampled", "--shots", "10000000000000000000"],
     DECODE + ["--p", "65"],
     ["landscape", "--code", "lbc_321", "--received", "011", "--p", "65", "--grid", "2"],
+    ["oracle", "--code", CodeFile({"generator": [[1, 0], [0, 1]], "branch_bits": 2}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"generator": [[1, 1]], "codewords": ["00", "01"]}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branchbits": 2}), "--received", "10"],
+    ["oracle", "--code", CodeFile({"generator": [[1, 1]], "name": [1, 2]}), "--received", "10"],
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]
@@ -165,9 +169,20 @@ def test_dump_state_refused_before_training(tmp_path, monkeypatch, capsys):
 
 
 def test_dump_state_within_limit(capsys):
+    # |amplitude|^2 at each codeword is that codeword's exact probability; every other entry is 0.
     rc, out, _ = run(DECODE + ["--dump-state"], capsys)
     assert rc == 0
-    assert len(json.loads(out)["statevector"]) == 1 << 6
+    report = json.loads(out)
+    entries = report["statevector"]
+    assert [index for index, _, _ in entries] == list(range(1 << 6))
+    codewords = {int(w, 2) for w in CODESPACE_633}
+    for index, real, imag in entries:
+        prob = real * real + imag * imag
+        if index in codewords:
+            expected = report["result"]["distribution"].get(format(index, "06b"), 0.0)
+            assert abs(prob - expected) <= 1e-12
+        else:
+            assert prob == 0.0
 
 
 def test_internal_failure_exits_3(monkeypatch, capsys):

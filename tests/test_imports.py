@@ -18,11 +18,9 @@ EXPORTS = {
               "code_from_generator", "code_from_json", "load_code", "min_weight_codewords"],
     "engine": ["QaoaParams", "TrainingResult", "expectation_exact", "expectation_sampled", "landscape_scan",
                "run_pqc", "train_fpo", "train_random", "train_upo"],
-    "errors": ["EmptyMixerError", "LengthError", "NotDiagonalError", "NotLinearError", "QviterbiError",
-               "RankError", "StatePrepError"],
-    "hamiltonians": ["PauliHamiltonian", "PauliString", "build_cost_hamiltonian", "build_mixer_hamiltonian",
-                     "eigenvalue_of", "fourier_expand_xor"],
-    "statevector": ["CircuitMode", "Statevector", "apply_cost_unitary", "apply_mixer_unitary", "measure_counts",
+    "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError", "StatePrepError"],
+    "hamiltonians": ["PauliHamiltonian", "PauliString", "build_mixer_hamiltonian"],
+    "statevector": ["Statevector", "apply_cost_unitary", "apply_mixer_unitary", "measure_counts",
                     "prepare_uniform_codespace"],
     "trellis": ["DecodeResult", "Trellis", "build_trellis", "ml_brute_force", "viterbi_decode"],
 }

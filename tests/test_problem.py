@@ -23,8 +23,8 @@ from qviterbi import (
 )
 from qviterbi.engine import TWO_PI
 from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transform
-from qviterbi.statevector import CircuitMode, allclose_up_to_global_phase, extract_codeword_register
-from conftest import BUILTIN_NAMES, generators, reed_muller_1, span_words
+from conftest import BUILTIN_NAMES, bit_array, generators, reed_muller_1, span_words
+from reference import allclose_up_to_global_phase, extract_codeword_register, run_full_register
 
 
 def scattered(problem, betas, gammas):
@@ -38,10 +38,10 @@ def assert_matches_dense(code, received, betas, gammas, full_register=False):
     problem = DecodeProblem(code, received)
     compiled = scattered(problem, betas, gammas)
     params = QaoaParams(tuple(betas), tuple(gammas))
-    folded = run_pqc(code, received, params, CircuitMode.FOLDED).amplitudes
+    folded = run_pqc(code, received, params).amplitudes
     assert np.max(np.abs(compiled - folded)) <= 1e-12
     if full_register:
-        full = extract_codeword_register(run_pqc(code, received, params, CircuitMode.FULL), received)
+        full = extract_codeword_register(run_full_register(code, received, params), received)
         assert allclose_up_to_global_phase(compiled, full.amplitudes, atol=1e-10)
 
 
@@ -80,6 +80,34 @@ def test_frozen_prefix_start_equals_full_recomputation(case):
         frozen = problem.amplitudes(betas[:cut], gammas[:cut])
         assert np.array_equal(problem.probabilities(betas[cut:], gammas[cut:], frozen), full)
         assert np.array_equal(frozen, problem.amplitudes(betas[:cut], gammas[:cut]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(decode_cases(), st.integers(0, 2**6 - 1))
+def test_translation_by_a_codeword_permutes_the_probabilities(case, pick):
+    # Codeword c = codewords[j] turns the distances for r into those for r xor c, permuted by the
+    # message shift i -> i xor j; the mixer and the start state do not depend on r.
+    code, received, betas, gammas = case
+    j = pick % len(code.codewords)
+    shifted = BitVector(code.n, received.value ^ code.codewords[j])
+    probs = DecodeProblem(code, received).probabilities(betas, gammas)
+    moved = DecodeProblem(code, shifted).probabilities(betas, gammas)
+    assert np.max(np.abs(moved - probs[np.arange(probs.size) ^ j])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(decode_cases(), st.data())
+def test_expectation_is_invariant_under_a_coordinate_permutation(case, data):
+    # Permuting the coordinates of G and r relabels the codewords and keeps every distance.
+    code, received, betas, gammas = case
+    perm = data.draw(st.permutations(range(code.n)))
+    rows = bit_array(code.generator).tolist()
+    permuted = code_from_generator(Gf2Matrix.from_rows([[row[q] for q in perm] for row in rows]))
+    moved = BitVector.from_string("".join(str(received)[q] for q in perm))
+    original = DecodeProblem(code, received)
+    relabelled = DecodeProblem(permuted, moved)
+    expected = original.expectation(original.probabilities(betas, gammas))
+    assert abs(relabelled.expectation(relabelled.probabilities(betas, gammas)) - expected) <= 1e-12
 
 
 angles = st.lists(st.floats(0.0, TWO_PI, allow_nan=False), min_size=1, max_size=2)
