@@ -47,7 +47,8 @@ class Statevector:
             amplitudes = np.zeros(dim, dtype=np.complex128)
             amplitudes[0] = 1.0
         else:
-            amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+            # Contiguous, so the gates' reshaped views write through to it.
+            amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
             if amplitudes.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got {amplitudes.shape}")
         self.amplitudes = amplitudes
@@ -82,23 +83,35 @@ class Statevector:
         idx = np.arange(self.dim)
         return idx[(idx & mask) == 0]
 
+    def _split(self, qubit: int) -> np.ndarray:
+        """The amplitudes as a (2^qubit, 2, rest) view whose middle axis is ``qubit``'s bit.
+
+        Writing to the view writes to the state; no index array is built.
+        """
+        self._mask(qubit)
+        return self.amplitudes.reshape(1 << qubit, 2, -1)
+
     def apply_h(self, qubit: int) -> None:
-        mask = self._mask(qubit)
-        lo = self._zero_side(mask)
-        hi = lo | mask
-        a0 = self.amplitudes[lo].copy()
-        a1 = self.amplitudes[hi]
-        self.amplitudes[lo] = _SQRT2_INV * (a0 + a1)
-        self.amplitudes[hi] = _SQRT2_INV * (a0 - a1)
+        split = self._split(qubit)
+        lo, hi = split[:, 0], split[:, 1]
+        a0 = lo.copy()
+        lo[...] = _SQRT2_INV * (a0 + hi)
+        hi[...] = _SQRT2_INV * (a0 - hi)
 
     def apply_cx(self, control: int, target: int) -> None:
         cmask, tmask = self._mask(control), self._mask(target)
-        idx = np.arange(self.dim)
-        lo = idx[((idx & cmask) != 0) & ((idx & tmask) == 0)]
-        hi = lo | tmask
-        a0 = self.amplitudes[lo].copy()
-        self.amplitudes[lo] = self.amplitudes[hi]
-        self.amplitudes[hi] = a0
+        if cmask == tmask:
+            raise ValueError("CX needs two different qubits")
+        first, last = sorted((control, target))
+        split = self.amplitudes.reshape(1 << first, 2, 1 << (last - first - 1), 2, -1)
+        # The pairs with the control bit set, target bit 0 and 1.
+        if control < target:
+            lo, hi = split[:, 1, :, 0], split[:, 1, :, 1]
+        else:
+            lo, hi = split[:, 0, :, 1], split[:, 1, :, 1]
+        a0 = lo.copy()
+        lo[...] = hi
+        hi[...] = a0
 
     def apply_xstring_rotation(self, beta: float, qubits) -> None:
         """exp(-i beta X...X) on the given qubits, by direct basis-pair rotation."""

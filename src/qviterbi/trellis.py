@@ -4,6 +4,11 @@ One construction serves every code, block or terminated convolutional: it reads
 the code's codeword list and parity-check matrix. This is the exact classical
 reference that every variational decode is checked against. Ties are never
 broken: the decoder returns all codewords attaining the minimum metric.
+
+The decoder keeps only path metrics, one ``{state: metric}`` dict per time
+point, and no survivor lists. The backtrack recovers the survivors from the
+metrics: a branch lies on a minimum path exactly when its start metric plus
+its label cost equals its end metric and its end state lies on one too.
 """
 from __future__ import annotations
 
@@ -17,15 +22,15 @@ from .errors import LengthError
 class Trellis:
     """Layered graph whose root-to-sink paths spell exactly the codewords.
 
-    ``node_layers`` has one entry per time point (num_instants + 1 layers);
-    ``branch_layers[t]`` holds the surviving branches of instant ``t`` as
+    ``branch_layers[t]`` holds the branches of instant ``t`` as
     ``(from_state, label, to_state)`` int triples, ``label`` being the section's
-    bits as an int. States are ints; the first and last layers hold only state 0.
+    bits as an int. States are ints; the paths start and end at state 0. Every
+    branch lies on a codeword path, so every ``from_state`` is reachable from
+    the root and every ``to_state`` reaches the sink.
     """
 
     code: Code
     branch_bits: int
-    node_layers: tuple[tuple[int, ...], ...]
     branch_layers: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
@@ -47,71 +52,75 @@ def build_trellis(code: Code) -> Trellis:
     (the later bits set to zero), so every codeword traces one path from
     state 0 back to state 0, and only the branches of codeword paths are
     built. Any path from 0 to 0 spells a word with zero syndrome, which is a
-    codeword, so the paths are exactly the codewords.
+    codeword, so the paths are exactly the codewords. A label's step is the
+    XOR of H's columns at the label's set bits.
     """
     b = code.branch_bits
-    check_rows = code.parity_check.words
-
-    def syndrome(word: int) -> int:
-        s = 0
-        for row in check_rows:
-            s = (s << 1) | ((row & word).bit_count() & 1)
-        return s
-
+    mask = (1 << b) - 1
+    # columns[j] is H's column at bit j of a word (bit 0 rightmost), as a
+    # syndrome with the first check row most significant.
+    columns = [0] * code.n
+    rows = code.parity_check.words
+    for i, row in enumerate(rows):
+        check = 1 << (len(rows) - 1 - i)
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= check
+            row ^= low
     states = [0] * len(code.codewords)
-    node_layers = [(0,)]
     branch_layers = []
     for t in range(code.n // b):
         shift = code.n - (t + 1) * b
-        labels = [(w >> shift) & ((1 << b) - 1) for w in code.codewords]
-        step = {v: syndrome(v << shift) for v in set(labels)}
+        step = [0]
+        for v in range(1, 1 << b):
+            step.append(step[v & (v - 1)] ^ columns[shift + (v & -v).bit_length() - 1])
+        labels = [(w >> shift) & mask for w in code.codewords]
         nxt = [s ^ step[v] for s, v in zip(states, labels)]
         branch_layers.append(tuple(set(zip(states, labels, nxt))))
-        node_layers.append(tuple(sorted(set(nxt))))
         states = nxt
-    return Trellis(code, b, tuple(node_layers), tuple(branch_layers))
+    return Trellis(code, b, tuple(branch_layers))
 
 
 def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
-    """Minimum-path-metric decoding over the trellis, keeping all ties."""
+    """Minimum-path-metric decoding over the trellis, keeping all ties.
+
+    The forward pass is add-compare-select on metrics alone. The backtrack walks
+    from the sink to the root and keeps a branch ``(frm, label, to)`` when
+    ``to`` lies on a minimum path and ``metric[frm] + cost[label] ==
+    metric[to]``; it carries each kept state's codeword suffixes, so every tied
+    codeword is returned, in ascending order, without recursion.
+    """
     code = trellis.code
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
     b = trellis.branch_bits
     r = received.to_index()
     chunks = [(r >> (code.n - (t + 1) * b)) & ((1 << b) - 1) for t in range(trellis.num_instants)]
+    costs = [[(v ^ chunk).bit_count() for v in range(1 << b)] for chunk in chunks]
 
-    dist: dict[int, int] = {0: 0}
-    preds: list[dict[int, list[tuple[int, int]]]] = []
-    for branches, chunk in zip(trellis.branch_layers, chunks):
-        ndist: dict[int, int] = {}
-        npred: dict[int, list[tuple[int, int]]] = {}
+    # Every branch's ``frm`` lies on a codeword path, so it always has a metric.
+    metrics: list[dict[int, int]] = [{0: 0}]
+    for branches, cost in zip(trellis.branch_layers, costs):
+        before = metrics[-1]
+        after: dict[int, int] = {}
         for frm, label, to in branches:
-            if frm not in dist:
-                continue
-            metric = dist[frm] + (label ^ chunk).bit_count()
-            if to not in ndist or metric < ndist[to]:
-                ndist[to] = metric
-                npred[to] = [(frm, label)]
-            elif metric == ndist[to]:
-                npred[to].append((frm, label))
-        dist = ndist
-        preds.append(npred)
+            metric = before[frm] + cost[label]
+            if to not in after or metric < after[to]:
+                after[to] = metric
+        metrics.append(after)
 
-    best_metric = dist[0]
-    words: list[int] = []
-    # Backtrack every tied survivor with an explicit stack: the depth is not
-    # bounded by Python's recursion limit, and no self-referencing closure keeps
-    # ``preds`` alive until the cycle collector runs.
-    stack = [(trellis.num_instants, 0, 0)]
-    while stack:
-        t, state, suffix = stack.pop()
-        if t == 0:
-            words.append(suffix)
-        else:
-            shift = code.n - t * b
-            stack.extend((t - 1, frm, suffix | (label << shift)) for frm, label in preds[t - 1][state])
-    return DecodeResult(best_metric, tuple(BitVector(code.n, w) for w in sorted(words)))
+    suffixes = {0: [0]}
+    for t in range(trellis.num_instants - 1, -1, -1):
+        before, after, cost = metrics[t], metrics[t + 1], costs[t]
+        shift = code.n - (t + 1) * b
+        kept: dict[int, list[int]] = {}
+        for frm, label, to in trellis.branch_layers[t]:
+            if to in suffixes and before[frm] + cost[label] == after[to]:
+                head = label << shift
+                kept.setdefault(frm, []).extend(head | s for s in suffixes[to])
+        suffixes = kept
+    words = sorted(suffixes[0])
+    return DecodeResult(metrics[-1][0], tuple(BitVector(code.n, w) for w in words))
 
 
 def ml_brute_force(code: Code, received: BitVector) -> DecodeResult:

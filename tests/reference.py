@@ -34,13 +34,14 @@ from qviterbi.statevector import _apply_codespace_prep
 
 def apply_x(sv: Statevector, qubit: int) -> None:
     """Pauli X on ``qubit``, in place: amplitude i moves to i with that bit flipped."""
-    sv.amplitudes[:] = sv.amplitudes[np.arange(sv.dim) ^ sv._mask(qubit)]
+    split = sv._split(qubit)
+    split[...] = split[:, ::-1].copy()
 
 
 def apply_rz(sv: Statevector, theta: float, qubit: int) -> None:
     """Rz(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on ``qubit``, in place."""
-    bit = ((np.arange(sv.dim) & sv._mask(qubit)) != 0).astype(np.float64)
-    sv.amplitudes *= np.exp(1j * theta * (bit - 0.5))
+    split = sv._split(qubit)
+    split *= np.exp(1j * theta * np.array([[-0.5], [0.5]]))
 
 
 def prepare_full_register(code: Code, received: BitVector) -> Statevector:

@@ -17,6 +17,7 @@ from qviterbi import (
     prepare_uniform_codespace,
 )
 from qviterbi.hamiltonians import PauliHamiltonian, PauliString
+from qviterbi.statevector import _SQRT2_INV
 from conftest import BUILTIN_NAMES, CODESPACE_633, CODESPACE_CONV
 from reference import (
     allclose_up_to_global_phase,
@@ -90,6 +91,62 @@ class TestStatevectorBasics:
                 if t != q:
                     sv.apply_cx(q, t)
         assert abs(sv.norm() - 1.0) < 1e-12
+
+    def test_gates_match_index_array_forms_bit_for_bit(self):
+        # The gates act on reshaped views; their index-array forms are the reference.
+        def h(a, n, q):
+            mask = 1 << (n - 1 - q)
+            idx = np.arange(1 << n)
+            lo = idx[(idx & mask) == 0]
+            a0, a1 = a[lo], a[lo | mask]
+            a[lo], a[lo | mask] = _SQRT2_INV * (a0 + a1), _SQRT2_INV * (a0 - a1)
+
+        def cx(a, n, c, t):
+            idx = np.arange(1 << n)
+            lo = idx[((idx >> (n - 1 - c)) & 1 == 1) & ((idx >> (n - 1 - t)) & 1 == 0)]
+            a[lo], a[lo | (1 << (n - 1 - t))] = a[lo | (1 << (n - 1 - t))], a[lo]
+
+        def x(a, n, q):
+            a[:] = a[np.arange(1 << n) ^ (1 << (n - 1 - q))]
+
+        def rz(a, n, theta, q):
+            bit = ((np.arange(1 << n) >> (n - 1 - q)) & 1).astype(np.float64)
+            a *= np.exp(1j * theta * (bit - 0.5))
+
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5):
+            sv = random_state(n, n)
+            ref = sv.amplitudes.copy()
+            for _ in range(200):
+                q = int(rng.integers(n))
+                gate = int(rng.integers(4 if n > 1 else 3))
+                if gate == 0:
+                    h(ref, n, q)
+                    sv.apply_h(q)
+                elif gate == 1:
+                    x(ref, n, q)
+                    apply_x(sv, q)
+                elif gate == 2:
+                    theta = float(rng.uniform(-7, 7))
+                    rz(ref, n, theta, q)
+                    apply_rz(sv, theta, q)
+                else:
+                    t = (q + 1 + int(rng.integers(n - 1))) % n
+                    cx(ref, n, q, t)
+                    sv.apply_cx(q, t)
+                assert sv.amplitudes.tobytes() == ref.tobytes()
+
+    def test_cx_needs_two_qubits(self):
+        with pytest.raises(ValueError):
+            Statevector(2).apply_cx(1, 1)
+
+    def test_gates_act_on_a_strided_input(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        sv = Statevector(2, amps[::2])
+        sv.apply_h(0)
+        sv.apply_cx(0, 1)
+        assert np.allclose(sv.amplitudes, [_SQRT2_INV, 0, 0, _SQRT2_INV])
 
     def test_json_entries(self):
         sv = Statevector.basis(2, 2)

@@ -20,6 +20,12 @@ def bv(s):
     return BitVector.from_string(s)
 
 
+def node_layers(trellis):
+    """The states at each of the num_instants + 1 cuts, read off the branch endpoints."""
+    first = {frm for frm, _, _ in trellis.branch_layers[0]}
+    return [tuple(sorted(first))] + [tuple(sorted({to for _, _, to in branches})) for branches in trellis.branch_layers]
+
+
 def path_count(trellis):
     """Number of root-to-sink paths, by forward dynamic programming."""
     counts = {0: 1}
@@ -36,7 +42,7 @@ class TestBuildTrellis:
     def test_633_has_eight_paths(self, lbc_633):
         trellis = build_trellis(lbc_633)
         assert path_count(trellis) == 8
-        assert len(trellis.node_layers) == 7
+        assert len(node_layers(trellis)) == 7
 
     def test_zero_code_single_path(self):
         code = code_from_codewords([BitVector(4, 0)])
@@ -54,9 +60,9 @@ class TestBuildTrellis:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_null_state_at_both_ends(self, name, all_builtins):
-        trellis = build_trellis(all_builtins[name])
-        assert trellis.node_layers[0] == (0,)
-        assert trellis.node_layers[-1] == (0,)
+        layers = node_layers(build_trellis(all_builtins[name]))
+        assert layers[0] == (0,)
+        assert layers[-1] == (0,)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_path_count_is_codespace_size(self, name, all_builtins):
@@ -96,6 +102,41 @@ class TestViterbiDecode:
         result = viterbi_decode(trellis, bv("1" * (n // 2) + "0" * (n // 2)))
         assert result.best_metric == n // 2
         assert result.best_codewords == (BitVector(n, 0), bv("1" * n))
+
+
+class TestGolay24:
+    """The extended Golay [24,12,8] code: thousands of trellis states and six-way ties."""
+
+    @pytest.fixture(scope="class")
+    def golay24(self):
+        # Cyclic Golay [23,12,7] from g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, plus a parity bit.
+        g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+        rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
+        code = code_from_generator(Gf2Matrix.from_rows([r + [sum(r) % 2] for r in rows]))
+        assert (code.n, code.k, code.d) == (24, 12, 8)
+        return code, build_trellis(code)
+
+    def test_trellis_has_thousands_of_states(self, golay24):
+        code, trellis = golay24
+        assert path_count(trellis) == 1 << code.k
+        assert max(map(len, node_layers(trellis))) == 4096
+
+    @pytest.mark.parametrize("received", ["0" * 24, "1" * 24, "1111" + "0" * 20, "11" + "0" * 20 + "11",
+                                          "1" + "0" * 10 + "11" + "0" * 10 + "1"])
+    def test_matches_brute_force(self, golay24, received):
+        code, trellis = golay24
+        r = bv(received)
+        result = viterbi_decode(trellis, r)
+        assert result == ml_brute_force(code, r)
+        weight = received.count("1")
+        if weight == 4:
+            # Four positions lie in exactly five octads: the zero word and five
+            # weight-8 codewords tie at metric 4.
+            assert result.best_metric == 4
+            assert len(result.best_codewords) == 6
+        else:
+            assert result.best_metric == 0
+            assert result.best_codewords == (r,)
 
 
 class TestBruteForce:
@@ -166,11 +207,16 @@ def test_random_codes_trellis_matches_brute_force(case):
     assert code.parity_check.rank() == code.n - code.k
     trellis = build_trellis(code)
     assert path_count(trellis) == 1 << code.k
-    assert trellis.node_layers[0] == trellis.node_layers[-1] == (0,)
+    layers = node_layers(trellis)
+    assert layers[0] == layers[-1] == (0,)
+    # Every branch starts where a branch of the previous section ends: the
+    # forward pass of viterbi_decode reads a metric for every ``frm``.
+    for t, branches in enumerate(trellis.branch_layers):
+        assert tuple(sorted({frm for frm, _, _ in branches})) == layers[t]
     # The states at a cut are H times each codeword's bits before it, the first check row leading.
     words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
     leading = 1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64)
-    for t, layer in enumerate(trellis.node_layers):
+    for t, layer in enumerate(layers):
         prefix = words.copy()
         prefix[:, t * code.branch_bits:] = 0
         assert layer == tuple(sorted(set((prefix @ h.T % 2 @ leading).tolist())))
