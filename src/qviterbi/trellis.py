@@ -53,7 +53,9 @@ def build_trellis(code: Code) -> Trellis:
     state 0 back to state 0, and only the branches of codeword paths are
     built. Any path from 0 to 0 spells a word with zero syndrome, which is a
     codeword, so the paths are exactly the codewords. A label's step is the
-    XOR of H's columns at the label's set bits.
+    XOR of H's columns at the label's set bits. Steps are tabulated over all
+    2^b labels only when that table is no longer than the codeword list;
+    wider sections get steps for the labels that occur, at most 2^k of them.
     """
     b = code.branch_bits
     mask = (1 << b) - 1
@@ -71,14 +73,39 @@ def build_trellis(code: Code) -> Trellis:
     branch_layers = []
     for t in range(code.n // b):
         shift = code.n - (t + 1) * b
-        step = [0]
-        for v in range(1, 1 << b):
-            step.append(step[v & (v - 1)] ^ columns[shift + (v & -v).bit_length() - 1])
         labels = [(w >> shift) & mask for w in code.codewords]
+        if 1 << b <= len(labels):
+            # Each label's step is one XOR from that of the label without its lowest bit.
+            step = [0]
+            for v in range(1, 1 << b):
+                step.append(step[v & (v - 1)] ^ columns[shift + (v & -v).bit_length() - 1])
+        else:
+            step = {v: _xor_columns(columns, shift, v) for v in set(labels)}
         nxt = [s ^ step[v] for s, v in zip(states, labels)]
         branch_layers.append(tuple(set(zip(states, labels, nxt))))
         states = nxt
     return Trellis(code, b, tuple(branch_layers))
+
+
+def _xor_columns(columns: list[int], shift: int, label: int) -> int:
+    """XOR of ``columns[shift + j]`` over the set bits ``j`` of ``label``."""
+    step = 0
+    while label:
+        low = label & -label
+        step ^= columns[shift + low.bit_length() - 1]
+        label ^= low
+    return step
+
+
+def _section_costs(
+    branches: tuple[tuple[int, int, int], ...], chunk: int, b: int
+) -> list[int] | dict[int, int]:
+    """Each label's Hamming distance to ``chunk``, indexed by label: a list over
+    all 2^b labels when that is no longer than the section, else a dict over the
+    section's own labels."""
+    if 1 << b <= len(branches):
+        return [(v ^ chunk).bit_count() for v in range(1 << b)]
+    return {label: (label ^ chunk).bit_count() for _, label, _ in branches}
 
 
 def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
@@ -96,7 +123,7 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
     b = trellis.branch_bits
     r = received.to_index()
     chunks = [(r >> (code.n - (t + 1) * b)) & ((1 << b) - 1) for t in range(trellis.num_instants)]
-    costs = [[(v ^ chunk).bit_count() for v in range(1 << b)] for chunk in chunks]
+    costs = [_section_costs(branches, chunk, b) for branches, chunk in zip(trellis.branch_layers, chunks)]
 
     # Every branch's ``frm`` lies on a codeword path, so it always has a metric.
     metrics: list[dict[int, int]] = [{0: 0}]

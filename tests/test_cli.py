@@ -152,6 +152,15 @@ def test_rm_1_6_oracle_decodes_and_decode_refuses(tmp_path, capsys):
     assert "n = 64" in err
 
 
+def test_oracle_on_one_40_bit_section(tmp_path, capsys):
+    # One section as wide as the word: the oracle builds and decodes only the
+    # two labels that occur, not a table over 2^40 labels.
+    source = write_code(tmp_path, {"codewords": ["0" * 40, "1" * 40], "branch_bits": 40})
+    rc, out, _ = run(["oracle", "--code", source, "--received", "0" * 30 + "1" * 10], capsys)
+    assert rc == 0
+    assert json.loads(out) == {"best_metric": 10, "best_codewords": ["0" * 40]}
+
+
 def test_dump_state_refused_before_training(tmp_path, monkeypatch, capsys):
     # Hamming [15,11,3]: a 2^15-entry state is over the dump limit.
     poly = [1, 1, 0, 0, 1]

@@ -104,6 +104,31 @@ class TestViterbiDecode:
         assert result.best_codewords == (BitVector(n, 0), bv("1" * n))
 
 
+    @pytest.mark.parametrize("branch_bits", [20, 40])
+    def test_wide_sections_on_few_codewords(self, branch_bits):
+        # Two codewords in 2^20- or 2^40-label sections: the build and the
+        # decode work over the labels that occur, not over every label.
+        n = 40
+        code = code_from_codewords([BitVector(n, 0), bv("1" * n)], branch_bits=branch_bits)
+        trellis = build_trellis(code)
+        assert path_count(trellis) == 2
+        r = bv("1" * 25 + "0" * 15)
+        result = viterbi_decode(trellis, r)
+        assert result == ml_brute_force(code, r)
+        assert result.best_metric == 15
+        assert result.best_codewords == (bv("1" * n),)
+
+    @pytest.mark.parametrize("branch_bits", [1, 2, 3, 6])
+    def test_633_every_section_width(self, lbc_633, branch_bits):
+        # Widths 3 and 6 leave sections with fewer branches than labels.
+        code = code_from_codewords(list(lbc_633.codespace), branch_bits=branch_bits)
+        trellis = build_trellis(code)
+        assert path_count(trellis) == 8
+        for v in range(1 << code.n):
+            r = BitVector(code.n, v)
+            assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
+
+
 class TestGolay24:
     """The extended Golay [24,12,8] code: thousands of trellis states and six-way ties."""
 
