@@ -140,12 +140,24 @@ def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
     ))
 
 
-def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:
-    # Doubling from the last row makes it the least significant message bit;
-    # each earlier row has a more significant pivot, so the list stays sorted.
+def span(values) -> list[int]:
+    """Every XOR combination of ``values``, indexed by message: entry m is the
+    XOR of the values at the set bits of m, the last value being bit 0.
+
+    ``span(code.generator.words)`` is ``code.codewords``. Given any linear
+    function of each generator row, it lists that function of every
+    codeword, in the same order.
+    """
     words = [0]
-    for row in reversed(generator.words):
-        words += [w ^ row for w in words]
+    for v in reversed(values):
+        words += [w ^ v for w in words]
+    return words
+
+
+def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:
+    # Each earlier RREF row has a more significant pivot, so the span of the
+    # rows is sorted.
+    words = span(generator.words)
     return Code(
         n=generator.cols,
         k=generator.rows,

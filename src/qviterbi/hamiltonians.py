@@ -51,18 +51,6 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, PauliString], ...]
     num_qubits: int
 
-    @classmethod
-    def from_terms(cls, terms, num_qubits: int) -> PauliHamiltonian:
-        merged: dict[PauliString, float] = {}
-        order: list[PauliString] = []
-        for coeff, string in terms:
-            if string not in merged:
-                merged[string] = 0.0
-                order.append(string)
-            merged[string] += float(coeff)
-        kept = tuple((merged[s], s) for s in order if merged[s] != 0.0)
-        return cls(kept, num_qubits)
-
 
 def build_mixer_hamiltonian(code: Code) -> PauliHamiltonian:
     """Sum of unit-coefficient X-strings, one per minimum-weight codeword.
@@ -74,8 +62,8 @@ def build_mixer_hamiltonian(code: Code) -> PauliHamiltonian:
     words = min_weight_codewords(code)
     if not words:
         raise EmptyMixerError("degenerate code has no nonzero codewords")
-    terms = [
+    terms = tuple(
         (1.0, PauliString.from_axes("X", (i for i, b in enumerate(str(w)) if b == "1")))
         for w in words
-    ]
-    return PauliHamiltonian.from_terms(terms, num_qubits=code.n)
+    )
+    return PauliHamiltonian(terms, num_qubits=code.n)

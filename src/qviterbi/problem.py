@@ -74,12 +74,12 @@ DENSE_WALSH_MAX_K = 8  # largest k whose transform is one matrix product
 COMPLEX_PRODUCT_MAX_K = 5  # largest k whose complex product OpenBLAS keeps on one thread
 
 
-def popcounts(values: np.ndarray, num_bits: int) -> np.ndarray:
-    """Hamming weight of each integer in ``values`` that fits in ``num_bits`` bits."""
-    counts = np.zeros(values.shape, dtype=np.int64)
-    for b in range(num_bits):
-        counts += (values >> b) & 1
-    return counts
+def popcounts(values: np.ndarray) -> np.ndarray:
+    """Hamming weight of each non-negative integer in ``values``, as int64.
+
+    ``np.bitwise_count`` returns uint8, on which ``n - 2 * d`` would wrap.
+    """
+    return np.bitwise_count(values).astype(np.int64)
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -144,12 +144,12 @@ class DecodeProblem:
         if code.n > MAX_WORD_BITS:
             raise ValueError(f"n = {code.n} exceeds the {MAX_WORD_BITS}-bit codeword limit")
         words = np.array(code.codewords, dtype=np.int64)
-        min_weight = (popcounts(words, code.n) == code.d) & (words != 0)
+        min_weight = (popcounts(words) == code.d) & (words != 0)
         if not min_weight.any():
             raise EmptyMixerError("degenerate code has no nonzero codewords")
         self.n = code.n
         self.codewords = words
-        self.distances = popcounts(words ^ received.to_index(), code.n)
+        self.distances = popcounts(words ^ received.to_index())
         self.spectrum = fwht(min_weight.astype(np.float64))
         self._phase_generators = np.array([-1j * self.spectrum, 0.5j * (code.n - 2 * self.distances)])
         self._float_distances = self.distances.astype(np.float64)

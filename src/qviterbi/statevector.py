@@ -140,9 +140,7 @@ class Statevector:
 
 def distances_to(received: BitVector) -> np.ndarray:
     """Hamming distance from every length-n basis state to ``received``."""
-    n = len(received)
-    idx = np.arange(1 << n)
-    return popcounts(idx ^ received.to_index(), n)
+    return popcounts(np.arange(1 << len(received)) ^ received.to_index())
 
 
 def _apply_codespace_prep(sv: Statevector, code: Code) -> None:

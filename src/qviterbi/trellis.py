@@ -1,9 +1,13 @@
 """The syndrome trellis of a code and the classical minimum-path-metric decoder.
 
-One construction serves every code, block or terminated convolutional: it reads
-the code's codeword list and parity-check matrix. This is the exact classical
-reference that every variational decode is checked against. Ties are never
-broken: the decoder returns all codewords attaining the minimum metric.
+One construction serves every code, block or terminated convolutional, and
+every section width: it reads only the code's generator and parity-check
+rows, and lists each section's labels and states as XOR spans of the
+generator rows' own labels and partial syndromes (Wolf, IEEE T-IT 1978).
+``ml_brute_force`` reads the codeword list, so the two oracles share no
+decoding code. This is the exact classical reference that every variational
+decode is checked against. Ties are never broken: the decoder returns all
+codewords attaining the minimum metric.
 
 The decoder keeps only path metrics, one ``{state: metric}`` dict per time
 point, and no survivor lists. The backtrack recovers the survivors from the
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import BitVector, Code
+from .codes import BitVector, Code, span
 from .errors import LengthError
 
 
@@ -45,17 +49,21 @@ class DecodeResult:
 
 
 def build_trellis(code: Code) -> Trellis:
-    """Build the syndrome trellis of ``code`` from its codewords.
+    """Build the syndrome trellis of ``code`` from its generator and parity-check rows.
 
     The word is cut into sections of ``code.branch_bits`` bits. The state at a
     cut is the partial syndrome H c of the codeword's bits before the cut
     (the later bits set to zero), so every codeword traces one path from
     state 0 back to state 0, and only the branches of codeword paths are
     built. Any path from 0 to 0 spells a word with zero syndrome, which is a
-    codeword, so the paths are exactly the codewords. A label's step is the
-    XOR of H's columns at the label's set bits. Steps are tabulated over all
-    2^b labels only when that table is no longer than the codeword list;
-    wider sections get steps for the labels that occur, at most 2^k of them.
+    codeword, so the paths are exactly the codewords.
+
+    A codeword's section label and partial syndrome are linear in its
+    message, so each section's labels and states are the XOR spans
+    (``codes.span``) of the generator rows' own labels and partial syndromes,
+    in message order. Each row's partial syndrome moves from cut to cut by
+    H's columns at the row's bits in the section. The build reads no codeword
+    list, and the same steps serve every section width.
     """
     b = code.branch_bits
     mask = (1 << b) - 1
@@ -69,43 +77,18 @@ def build_trellis(code: Code) -> Trellis:
             low = row & -row
             columns[low.bit_length() - 1] |= check
             row ^= low
-    states = [0] * len(code.codewords)
+    generator = code.generator.words
+    partial = [0] * code.k  # each generator row's partial syndrome at the current cut
+    states = [0] * (1 << code.k)
     branch_layers = []
-    for t in range(code.n // b):
-        shift = code.n - (t + 1) * b
-        labels = [(w >> shift) & mask for w in code.codewords]
-        if 1 << b <= len(labels):
-            # Each label's step is one XOR from that of the label without its lowest bit.
-            step = [0]
-            for v in range(1, 1 << b):
-                step.append(step[v & (v - 1)] ^ columns[shift + (v & -v).bit_length() - 1])
-        else:
-            step = {v: _xor_columns(columns, shift, v) for v in set(labels)}
-        nxt = [s ^ step[v] for s, v in zip(states, labels)]
+    for shift in range(code.n - b, -1, -b):
+        for j in range(shift, shift + b):
+            partial = [s ^ columns[j] if (g >> j) & 1 else s for s, g in zip(partial, generator)]
+        labels = span([(g >> shift) & mask for g in generator])
+        nxt = span(partial)
         branch_layers.append(tuple(set(zip(states, labels, nxt))))
         states = nxt
     return Trellis(code, b, tuple(branch_layers))
-
-
-def _xor_columns(columns: list[int], shift: int, label: int) -> int:
-    """XOR of ``columns[shift + j]`` over the set bits ``j`` of ``label``."""
-    step = 0
-    while label:
-        low = label & -label
-        step ^= columns[shift + low.bit_length() - 1]
-        label ^= low
-    return step
-
-
-def _section_costs(
-    branches: tuple[tuple[int, int, int], ...], chunk: int, b: int
-) -> list[int] | dict[int, int]:
-    """Each label's Hamming distance to ``chunk``, indexed by label: a list over
-    all 2^b labels when that is no longer than the section, else a dict over the
-    section's own labels."""
-    if 1 << b <= len(branches):
-        return [(v ^ chunk).bit_count() for v in range(1 << b)]
-    return {label: (label ^ chunk).bit_count() for _, label, _ in branches}
 
 
 def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
@@ -113,9 +96,10 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
 
     The forward pass is add-compare-select on metrics alone. The backtrack walks
     from the sink to the root and keeps a branch ``(frm, label, to)`` when
-    ``to`` lies on a minimum path and ``metric[frm] + cost[label] ==
-    metric[to]``; it carries each kept state's codeword suffixes, so every tied
-    codeword is returned, in ascending order, without recursion.
+    ``to`` lies on a minimum path and ``metric[frm]`` plus the label's Hamming
+    distance to the received section equals ``metric[to]``. It carries each
+    kept state's codeword suffixes, so every tied codeword is returned, in
+    ascending order, without recursion.
     """
     code = trellis.code
     if len(received) != code.n:
@@ -123,26 +107,25 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
     b = trellis.branch_bits
     r = received.to_index()
     chunks = [(r >> (code.n - (t + 1) * b)) & ((1 << b) - 1) for t in range(trellis.num_instants)]
-    costs = [_section_costs(branches, chunk, b) for branches, chunk in zip(trellis.branch_layers, chunks)]
 
     # Every branch's ``frm`` lies on a codeword path, so it always has a metric.
     metrics: list[dict[int, int]] = [{0: 0}]
-    for branches, cost in zip(trellis.branch_layers, costs):
+    for branches, chunk in zip(trellis.branch_layers, chunks):
         before = metrics[-1]
         after: dict[int, int] = {}
         for frm, label, to in branches:
-            metric = before[frm] + cost[label]
+            metric = before[frm] + (label ^ chunk).bit_count()
             if to not in after or metric < after[to]:
                 after[to] = metric
         metrics.append(after)
 
     suffixes = {0: [0]}
     for t in range(trellis.num_instants - 1, -1, -1):
-        before, after, cost = metrics[t], metrics[t + 1], costs[t]
+        before, after, chunk = metrics[t], metrics[t + 1], chunks[t]
         shift = code.n - (t + 1) * b
         kept: dict[int, list[int]] = {}
         for frm, label, to in trellis.branch_layers[t]:
-            if to in suffixes and before[frm] + cost[label] == after[to]:
+            if to in suffixes and before[frm] + (label ^ chunk).bit_count() == after[to]:
                 head = label << shift
                 kept.setdefault(frm, []).extend(head | s for s in suffixes[to])
         suffixes = kept

@@ -58,9 +58,9 @@ def _rank(rows):
 
 
 @st.composite
-def generators(draw, max_n=6, even_n=False):
+def generators(draw, max_n=6):
     """Full-rank generator matrices, systematic or not, with n <= max_n."""
-    n = draw(st.integers(1, max_n // 2).map(lambda h: 2 * h) if even_n else st.integers(1, max_n))
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, n))
     if draw(st.booleans()):
         parity = draw(st.lists(st.lists(st.integers(0, 1), min_size=n - k, max_size=n - k),

@@ -147,7 +147,7 @@ def build_cost_hamiltonian(n: int) -> PauliHamiltonian:
     terms: list[tuple[float, PauliString]] = [(n / 2.0, PauliString(()))]
     for i in range(n):
         terms.append((-0.5, PauliString(((i, "Z"), (n + i, "Z")))))
-    return PauliHamiltonian.from_terms(terms, num_qubits=2 * n)
+    return PauliHamiltonian(tuple(terms), num_qubits=2 * n)
 
 
 def eigenvalue_of(h: PauliHamiltonian, basis_state: BitVector) -> float:

@@ -228,18 +228,6 @@ class TestGMatrix:
                 assert g[j, k] == int(j != k and (a.to_index() ^ b.to_index()).bit_count() == code.d)
 
 
-class TestSerialization:
-    def test_duplicate_terms_merge(self):
-        s = PauliString(((0, "Z"),))
-        h = PauliHamiltonian.from_terms([(1.0, s), (0.5, s)], num_qubits=1)
-        assert h.terms == ((1.5, s),)
-
-    def test_cancelling_terms_drop(self):
-        s = PauliString(((0, "X"),))
-        h = PauliHamiltonian.from_terms([(1.0, s), (-1.0, s)], num_qubits=1)
-        assert h.terms == ()
-
-
 class TestPauliString:
     def test_orders_and_validates(self):
         s = PauliString(((2, "X"), (0, "X")))
@@ -253,5 +241,5 @@ class TestPauliString:
         # The empty product has no factors and eigenvalue 1 on every basis state.
         identity = PauliString(())
         assert identity.qubits == ()
-        h = PauliHamiltonian.from_terms([(1.0, identity)], num_qubits=2)
+        h = PauliHamiltonian(((1.0, identity),), num_qubits=2)
         assert [eigenvalue_of(h, BitVector(2, v)) for v in range(4)] == [1.0] * 4

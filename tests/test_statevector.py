@@ -243,9 +243,7 @@ class TestMixerUnitary:
         assert np.allclose(sv.amplitudes, before)
 
     def test_half_period_flip(self):
-        mixer = PauliHamiltonian.from_terms(
-            [(1.0, PauliString.from_axes("X", (0, 1, 2)))], num_qubits=3
-        )
+        mixer = PauliHamiltonian(((1.0, PauliString.from_axes("X", (0, 1, 2))),), num_qubits=3)
         sv = Statevector(3)
         apply_mixer_unitary(sv, math.pi / 2, mixer)
         assert sv.amplitudes[0b111] == pytest.approx(-1j)
@@ -293,7 +291,7 @@ class TestMixerUnitary:
         assert np.allclose(sv.amplitudes, start, atol=1e-10)
 
     def test_rejects_z_terms(self):
-        h = PauliHamiltonian.from_terms([(1.0, PauliString(((0, "Z"),)))], num_qubits=1)
+        h = PauliHamiltonian(((1.0, PauliString(((0, "Z"),))),), num_qubits=1)
         with pytest.raises(ValueError):
             apply_mixer_unitary(Statevector(1), 0.1, h)
 

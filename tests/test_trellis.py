@@ -13,6 +13,7 @@ from qviterbi import (
     ml_brute_force,
     viterbi_decode,
 )
+from qviterbi.codes import span
 from conftest import BUILTIN_NAMES, bit_array, generators, span_words
 
 
@@ -205,15 +206,18 @@ def test_metric_bounded_by_received_weight(name, all_builtins):
 @st.composite
 def random_codes(draw):
     """A generated code, built from its generator or from its codeword list
-    with 1- or 2-bit trellis sections, plus received words to decode."""
-    how = draw(st.sampled_from(["generator", "codewords", "sections"]))
-    rows = draw(generators(max_n=8, even_n=how == "sections"))
-    if how == "generator":
+    with sections of any width that divides n, n included, plus received
+    words to decode."""
+    rows = draw(generators(max_n=8))
+    n = len(rows[0])
+    if draw(st.booleans()):
         code = code_from_generator(Gf2Matrix.from_rows(rows))
     else:
-        words = [bv(w) for w in span_words(rows)]
-        code = code_from_codewords(words, branch_bits=2 if how == "sections" else 1)
-    n = len(rows[0])
+        # Widths that cut the word first, widest first, then n and 1: in this
+        # order the 150 derandomized cases hold 2-, 3- and 4-bit sections of
+        # 4-, 6- and 8-bit words, and whole-word sections.
+        widths = sorted((b for b in range(1, n + 1) if n % b == 0), key=lambda b: (b in (1, n), -b))
+        code = code_from_codewords([bv(w) for w in span_words(rows)], branch_bits=draw(st.sampled_from(widths)))
     received = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     return rows, code, [BitVector.from_string("".join(map(str, r))) for r in received]
 
@@ -225,6 +229,7 @@ def test_random_codes_trellis_matches_brute_force(case):
     assert bit_array(Gf2Matrix.from_rows(rows)).tolist() == rows
     assert code.generator.rref()[0] == code.generator
     assert [str(c) for c in code.codespace] == span_words(rows)
+    assert span(code.generator.words) == list(code.codewords)
     g = np.array(rows, dtype=np.int64)
     h = bit_array(code.parity_check).astype(np.int64)
     assert not (g @ h.T % 2).any()
