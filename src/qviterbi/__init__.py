@@ -14,11 +14,12 @@ loading and the trellis oracle, pure Python on ints. The names exported from
 the circuit layers, ``engine``, ``hamiltonians`` and ``statevector``, are
 resolved on first access (PEP 562), which imports their submodule. ``engine``
 and ``statevector`` import numpy, ~160 ms of a ~200 ms eager package import,
-so only the first command that trains or scans pays for it. Fresh ``python -m
-qviterbi.cli`` processes, medians of 12 alternating runs on a 2-vCPU VM, took
-116 ms for ``oracle`` on lbc_633 (310 ms with every submodule imported
-eagerly) and 172 ms on Golay [24,12,8] (361 ms); ``decode`` took the same
-either way, because it imports numpy.
+so only the first command that trains or scans pays for it. Loading a code
+lists none of its 2^k codewords; ``oracle`` never lists them, and ``decode``
+lists them once. Fresh ``python -m qviterbi.cli`` processes, medians of 30 runs
+on a 2-vCPU VM (``tests/cold_start.py``), took 63 ms for ``oracle`` on lbc_633,
+85 ms on Golay [24,12,8] and 65 ms on the codeword-list convolutional code
+[20,8,5], against 145 ms for a p = 2 ``decode`` on lbc_633, which imports numpy.
 """
 import importlib
 

@@ -10,7 +10,7 @@ decoder, which are pure Python. ``engine`` imports numpy, so ``decode``,
 ``compare`` and ``landscape`` import it when they run, and ``TRAINERS``,
 ``run_pqc`` and ``landscape_scan`` are module attributes resolved on first
 access (PEP 562). A fresh ``oracle`` process therefore never loads numpy
-(116 ms instead of 310 ms on lbc_633; see the package docstring), and a fresh
+(see the package docstring for fresh-process times), and a fresh
 ``decode`` pays for it in its first request instead of at import. The
 commands look all three names up in this module, and ``TRAINERS`` is
 ``engine.TRAINERS`` itself, so a caller that replaces one of the names or one

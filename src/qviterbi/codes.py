@@ -6,15 +6,28 @@ A ``BitVector`` is ``(length, value)``, the int with its printed length; a
 GF(2) matrix holds one such int per row, so rows and codewords share one format.
 Everything here is Python int arithmetic, so loading a code imports no array
 library.
+
+Loading a code reduces its generator (or its codeword list) to RREF and derives
+a parity-check matrix; it does not list the codewords. ``Code.codewords`` and
+``Code.d`` enumerate the 2^k words on first access and keep them. The trellis
+oracle reads only G and H, so ``oracle`` never lists them; ``decode``,
+``landscape`` and ``ml_brute_force`` do, once per code.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import LengthError, NotLinearError, RankError
 
 MAX_MESSAGE_BITS = 20  # codespace enumeration is capped at 2**20 words
+
+
+def _check_bit_string(s) -> None:
+    # ``int(s, 2)`` alone would also take "0_1", " 01", "+1" and non-ASCII digits.
+    if not isinstance(s, str) or not s or s.strip("01"):
+        raise ValueError(f"not a bit string: {s!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +47,7 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> BitVector:
-        if not isinstance(s, str) or not s or set(s) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {s!r}")
+        _check_bit_string(s)
         return cls(len(s), int(s, 2))
 
     def __len__(self) -> int:
@@ -82,8 +94,12 @@ class Gf2Matrix:
         """Reduced row-echelon form over GF(2) with zero rows dropped.
 
         Returns the reduced matrix and its pivot columns (strictly increasing).
+        The rows not yet taken as pivots are held as a set, so rows that
+        become equal as columns are cleared collapse into one; a list of all
+        2^k codewords halves at each pivot. The RREF of a row space is unique,
+        so which row is taken as a pivot does not change the result.
         """
-        reduced, rest, pivots = [], list(self.words), []
+        reduced, rest, pivots = [], set(self.words), []
         for c in range(self.cols):
             bit = 1 << (self.cols - 1 - c)
             top = next((w for w in rest if w & bit), 0)
@@ -91,7 +107,8 @@ class Gf2Matrix:
                 # Earlier pivots are already cleared from ``rest``, so ``top``
                 # leads at column c; clear column c from every other row.
                 reduced = [w ^ top if w & bit else w for w in reduced] + [top]
-                rest = [v for v in (w ^ top if w & bit else w for w in rest) if v]
+                rest = {w ^ top if w & bit else w for w in rest}
+                rest.discard(0)
                 pivots.append(c)
         return Gf2Matrix(self.cols, tuple(reduced)), tuple(pivots)
 
@@ -101,27 +118,39 @@ class Gf2Matrix:
 
 @dataclass(frozen=True)
 class Code:
-    """A binary linear code with its fully enumerated codewords.
+    """A binary linear code, held as its generator and parity-check matrices.
 
     ``generator`` is stored in reduced row-echelon form and ``parity_check``
     is an (n - k) x n matrix whose null space is the code. ``codewords`` holds
     every codeword as an integer (leftmost bit most significant) in ascending
     order, which is also message order: bit j of a word's index is its bit at
-    the pivot of generator row k - 1 - j. ``codespace`` derives the same
-    words, in the same order, as bit vectors on each access; they are stored
-    once, in ``codewords``. ``branch_bits`` is the trellis branch label width
-    (more than 1 only for terminated convolutional codes ingested as codeword
-    lists).
+    the pivot of generator row k - 1 - j. It is the span of the generator
+    rows, enumerated on first access and kept; ``d`` is the least weight of a
+    nonzero codeword (0 when k = 0), scanned from ``codewords`` on first
+    access. The trellis oracle reads neither; the compiled circuit and the
+    mixer read both, and ``ml_brute_force`` the words. ``codespace`` derives
+    the same words, in the same order, as bit vectors on each access; they
+    are stored once, in ``codewords``. ``branch_bits`` is the trellis branch
+    label width (more than 1 only for terminated convolutional codes ingested
+    as codeword lists).
     """
 
     n: int
     k: int
-    d: int
     generator: Gf2Matrix
     parity_check: Gf2Matrix
-    codewords: tuple[int, ...]
     branch_bits: int = 1
     name: str = ""
+
+    @cached_property
+    def codewords(self) -> tuple[int, ...]:
+        # Each earlier RREF row has a more significant pivot, so the span of
+        # the rows is sorted.
+        return tuple(span(self.generator.words))
+
+    @cached_property
+    def d(self) -> int:
+        return min((w.bit_count() for w in self.codewords if w), default=0)
 
     @property
     def codespace(self) -> tuple[BitVector, ...]:
@@ -155,16 +184,11 @@ def span(values) -> list[int]:
 
 
 def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:
-    # Each earlier RREF row has a more significant pivot, so the span of the
-    # rows is sorted.
-    words = span(generator.words)
     return Code(
         n=generator.cols,
         k=generator.rows,
-        d=min((w.bit_count() for w in words[1:]), default=0),
         generator=generator,
         parity_check=_parity_check(generator, pivots),
-        codewords=tuple(words),
         branch_bits=branch_bits,
         name=name,
     )
@@ -174,7 +198,8 @@ def code_from_generator(generator: Gf2Matrix, name: str = "") -> Code:
     """Build a code from a full-row-rank generator matrix.
 
     The generator is reduced to RREF before use; the codespace is the span of
-    its rows and the minimum distance is found by a weight scan.
+    its rows and the minimum distance is found by a weight scan, both on
+    first access.
     """
     if generator.rows > generator.cols:
         raise RankError(f"generator has more rows ({generator.rows}) than columns ({generator.cols})")
@@ -197,12 +222,18 @@ def code_from_codewords(
     NotLinearError when the set is not a linear code: a set of 2^k distinct
     words whose span has dimension k is that span.
     """
+    return _code_from_word_ints({w.length for w in words}, [w.value for w in words], name, branch_bits)
+
+
+def _code_from_word_ints(lengths: set[int], words: list[int], name: str, branch_bits: int) -> Code:
+    # The core of ``code_from_codewords`` and of a codeword-list JSON: ``words``
+    # are the listed codewords as ints, and ``lengths`` their printed lengths.
     if not words:
         raise NotLinearError("empty codeword list")
-    n = len(words[0])
-    if any(len(w) != n for w in words):
+    if len(lengths) != 1:
         raise LengthError("codewords have mixed lengths")
-    ints = {w.to_index() for w in words}
+    (n,) = lengths
+    ints = set(words)
     if len(ints) != len(words):
         raise NotLinearError("duplicate codewords in list")
     if 0 not in ints:
@@ -301,10 +332,13 @@ def code_from_json(obj: dict) -> Code:
     if shape == "generator":
         code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]), name=name)
     else:
-        if not isinstance(obj["codewords"], list):
+        strings = obj["codewords"]
+        if not isinstance(strings, list):
             raise ValueError("codewords must be a list of bit strings")
-        words = [BitVector.from_string(s) for s in obj["codewords"]]
-        code = code_from_codewords(words, name=name, branch_bits=_json_int(obj, "branch_bits", 1))
+        for s in strings:
+            _check_bit_string(s)
+        code = _code_from_word_ints({len(s) for s in strings}, [int(s, 2) for s in strings], name,
+                                    _json_int(obj, "branch_bits", 1))
     for key, built in (("n", code.n), ("k", code.k)):
         if key in obj and _json_int(obj, key) != built:
             raise ValueError(f"declared {key} = {obj[key]} but the code has {key} = {built}")

@@ -9,8 +9,10 @@ between the trees and swapping which goes first each round, so drift in the
 host's speed falls on both alike. The script prints the median and quartiles of
 each command's wall time in milliseconds, and how many runs printed the same
 stdout bytes under both trees; it exits 1 if any run's stdout differs. The
-Golay [24,12,8] code file is written by ``perfbench/workloads``, which the
-script imports and does not change. Its name does not start with ``test_``,
+Golay [24,12,8] code file and the conv20 codeword-list file (the terminated
+rate-1/2 [20,8,5] convolutional code, the median request of the benchmark's
+oracle_bulk workload) are written by ``perfbench/workloads``, which the script
+imports and does not change. Its name does not start with ``test_``,
 so pytest does not collect it.
 """
 from __future__ import annotations
@@ -25,6 +27,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 GOLAY_RECEIVED = "101100111000101011110000"
+CONV20_RECEIVED = "11011001110100101100"
 
 
 def commands(codes_dir: str) -> dict[str, list[str]]:
@@ -32,10 +35,11 @@ def commands(codes_dir: str) -> dict[str, list[str]]:
     sys.path.insert(0, PERFBENCH)
     from workloads import write_code_files
 
-    golay = write_code_files(["golay24"], codes_dir)["golay24"]
+    files = write_code_files(["golay24", "conv20"], codes_dir)
     return {
         "oracle lbc_633": ["oracle", "--code", "lbc_633", "--received", "111011"],
-        "oracle golay24": ["oracle", "--code", golay, "--received", GOLAY_RECEIVED],
+        "oracle golay24": ["oracle", "--code", files["golay24"], "--received", GOLAY_RECEIVED],
+        "oracle conv20": ["oracle", "--code", files["conv20"], "--received", CONV20_RECEIVED],
         "decode lbc_633": ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2",
                            "--seed", "3"],
         "landscape lbc_633": ["landscape", "--code", "lbc_633", "--received", "111011", "--p", "1",

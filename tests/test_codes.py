@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi import (
     BitVector,
+    cli,
     Gf2Matrix,
     LengthError,
     NotLinearError,
@@ -27,6 +30,8 @@ from conftest import (
     MIN_WEIGHT_CONV,
     PARITY_633,
     bit_array,
+    generators,
+    span_words,
 )
 
 
@@ -61,6 +66,18 @@ class TestGf2Matrix:
         reduced, pivots = m.rref()
         assert list(pivots) == sorted(pivots)
         assert reduced.rank() == len(pivots)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rref_is_independent_of_row_order_and_repeats(self, data):
+        # The RREF of a row space is unique: any spanning list of its words,
+        # in any order and with repeats, reduces to the same rows and pivots.
+        rows = data.draw(generators(max_n=8))
+        n = len(rows[0])
+        expected = Gf2Matrix.from_rows(rows).rref()
+        words = [int(w, 2) for w in span_words(rows)]
+        listed = data.draw(st.permutations(words + data.draw(st.lists(st.sampled_from(words), max_size=4))))
+        assert Gf2Matrix(n, tuple(listed)).rref() == expected
 
     def test_rank(self):
         assert Gf2Matrix.from_rows([[1, 0], [0, 1]]).rank() == 2
@@ -208,6 +225,33 @@ class TestJsonInterface:
         code = load_code(str(path))
         assert code.name == "file_code"
         assert code.k == 2
+
+    @pytest.mark.parametrize("codewords, error, message", [
+        (["000", "0_1"], ValueError, "not a bit string: '0_1'"),
+        (["000", " 01"], ValueError, "not a bit string: ' 01'"),
+        (["000", "01 "], ValueError, "not a bit string: '01 '"),
+        (["00", "+1"], ValueError, "not a bit string: '+1'"),
+        (["00", "0\u0661"], ValueError, "not a bit string: '0\u0661'"),
+        (["", "00"], ValueError, "not a bit string: ''"),
+        (["000", "012"], ValueError, "not a bit string: '012'"),
+        (["00", 5], ValueError, "not a bit string: 5"),
+        (["00", "010", "0x"], ValueError, "not a bit string: '0x'"),
+        (["00", "010"], LengthError, "codewords have mixed lengths"),
+        ([], NotLinearError, "empty codeword list"),
+    ], ids=["underscore", "leading_space", "trailing_space", "plus", "non_ascii_digit", "empty_string",
+            "digit_2", "int", "bad_after_mixed_lengths", "mixed_lengths", "empty_list"])
+    def test_codewords_json_rejects(self, codewords, error, message, tmp_path, capsys):
+        # Each listed word must be a non-empty string of ASCII 0s and 1s, all
+        # of one length; every string is checked before the lengths.
+        body = {"codewords": codewords}
+        with pytest.raises(error) as raised:
+            code_from_json(body)
+        assert str(raised.value) == message
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["oracle", "--code", str(path), "--received", "00"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_load_code_builtin(self):
         assert load_code("lbc_633").n == 6

@@ -183,12 +183,7 @@ class TestStatePreparation:
         pytest.param([[1, 1], [0, 1]], id="pivot_column_not_unit"),
     ])
     def test_non_rref_generator_rejected(self, rows):
-        bad = Code(
-            n=2, k=2, d=1,
-            generator=Gf2Matrix.from_rows(rows),
-            parity_check=Gf2Matrix(2, ()),
-            codewords=(0, 1, 2, 3),
-        )
+        bad = Code(n=2, k=2, generator=Gf2Matrix.from_rows(rows), parity_check=Gf2Matrix(2, ()))
         with pytest.raises(StatePrepError):
             prepare_uniform_codespace(bad)
 

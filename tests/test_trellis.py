@@ -130,17 +130,31 @@ class TestViterbiDecode:
             assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
 
 
+def golay24_code():
+    # Cyclic Golay [23,12,7] from g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, plus a parity bit.
+    g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+    rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
+    return code_from_generator(Gf2Matrix.from_rows([r + [sum(r) % 2] for r in rows]))
+
+
 class TestGolay24:
     """The extended Golay [24,12,8] code: thousands of trellis states and six-way ties."""
 
     @pytest.fixture(scope="class")
     def golay24(self):
-        # Cyclic Golay [23,12,7] from g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, plus a parity bit.
-        g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
-        rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
-        code = code_from_generator(Gf2Matrix.from_rows([r + [sum(r) % 2] for r in rows]))
+        code = golay24_code()
         assert (code.n, code.k, code.d) == (24, 12, 8)
         return code, build_trellis(code)
+
+    def test_oracle_never_lists_the_codewords(self):
+        # The trellis is built from G and H alone, so neither lazy field is
+        # computed by a build and a decode.
+        code = golay24_code()
+        result = viterbi_decode(build_trellis(code), bv("1111" + "0" * 20))
+        assert result.best_metric == 4
+        assert "codewords" not in vars(code) and "d" not in vars(code)
+        assert code.d == 8
+        assert len(vars(code)["codewords"]) == 1 << 12
 
     def test_trellis_has_thousands_of_states(self, golay24):
         code, trellis = golay24
@@ -226,16 +240,19 @@ def random_codes(draw):
 @given(random_codes())
 def test_random_codes_trellis_matches_brute_force(case):
     rows, code, received = case
+    trellis = build_trellis(code)
+    decoded = [viterbi_decode(trellis, r) for r in received]
+    assert "codewords" not in vars(code) and "d" not in vars(code)
     assert bit_array(Gf2Matrix.from_rows(rows)).tolist() == rows
     assert code.generator.rref()[0] == code.generator
     assert [str(c) for c in code.codespace] == span_words(rows)
     assert span(code.generator.words) == list(code.codewords)
+    assert code.d == min((w.count("1") for w in span_words(rows) if "1" in w), default=0)
     g = np.array(rows, dtype=np.int64)
     h = bit_array(code.parity_check).astype(np.int64)
     assert not (g @ h.T % 2).any()
     assert h.shape == (code.n - code.k, code.n)
     assert code.parity_check.rank() == code.n - code.k
-    trellis = build_trellis(code)
     assert path_count(trellis) == 1 << code.k
     layers = node_layers(trellis)
     assert layers[0] == layers[-1] == (0,)
@@ -250,5 +267,4 @@ def test_random_codes_trellis_matches_brute_force(case):
         prefix = words.copy()
         prefix[:, t * code.branch_bits:] = 0
         assert layer == tuple(sorted(set((prefix @ h.T % 2 @ leading).tolist())))
-    for r in received:
-        assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
+    assert decoded == [ml_brute_force(code, r) for r in received]
