@@ -1,25 +1,26 @@
 """Hybrid variational decoding of small binary linear codes.
 
-The package builds the mixer Hamiltonian and the Hamming-distance cost of any
-small linear code, simulates the layered parameterized circuit exactly on the
-code's 2^k codespace, trains the circuit parameters, and validates every
+The package takes the mixer of any small linear code as a tuple of X-masks,
+one int per minimum-weight codeword, and the Hamming-distance cost as a
+distance vector. It simulates the layered parameterized circuit exactly on
+the code's 2^k codespace, trains the circuit parameters, and validates every
 decoded result against a classical trellis decoder. One dense circuit ships
 besides the compiled one: the folded n-qubit statevector, which serves
-``--dump-state`` and the benchmark's re-score. The 2n-qubit full-register gate
-circuit and the Pauli form of the cost are test references
-(``tests/reference.py``).
+``--dump-state`` and the benchmark's re-score. Nothing in the package has a
+Pauli form: the 2n-qubit full-register gate circuit and the Pauli form of the
+cost are test references (``tests/reference.py``).
 
 ``import qviterbi`` loads ``codes``, ``errors`` and ``trellis`` at once: code
 loading and the trellis oracle, pure Python on ints. The names exported from
-the circuit layers, ``engine``, ``hamiltonians`` and ``statevector``, are
-resolved on first access (PEP 562), which imports their submodule. ``engine``
-and ``statevector`` import numpy, ~160 ms of a ~200 ms eager package import,
-so only the first command that trains or scans pays for it. Loading a code
-lists none of its 2^k codewords; ``oracle`` never lists them, and ``decode``
-lists them once. Fresh ``python -m qviterbi.cli`` processes, medians of 30 runs
-on a 2-vCPU VM (``tests/cold_start.py``), took 63 ms for ``oracle`` on lbc_633,
-85 ms on Golay [24,12,8] and 65 ms on the codeword-list convolutional code
-[20,8,5], against 145 ms for a p = 2 ``decode`` on lbc_633, which imports numpy.
+the circuit layers, ``engine`` and ``statevector``, are resolved on first
+access (PEP 562), which imports their submodule. Both import numpy, ~160 ms
+of a ~200 ms eager package import, so only the first command that trains or
+scans pays for it. Loading a code lists none of its 2^k codewords; ``oracle``
+never lists them, and ``decode`` lists them once. Fresh ``python -m
+qviterbi.cli`` processes, medians of 30 runs on a 2-vCPU VM
+(``tests/cold_start.py``), took 63 ms for ``oracle`` on lbc_633, 85 ms on
+Golay [24,12,8] and 65 ms on the codeword-list convolutional code [20,8,5],
+against 145 ms for a p = 2 ``decode`` on lbc_633, which imports numpy.
 """
 import importlib
 
@@ -33,7 +34,6 @@ from .codes import (
     code_from_generator,
     code_from_json,
     load_code,
-    min_weight_codewords,
 )
 from .errors import (
     EmptyMixerError,
@@ -61,14 +61,10 @@ _LAZY = {
         "train_upo",
     ), "engine"),
     **dict.fromkeys((
-        "PauliHamiltonian",
-        "PauliString",
-        "build_mixer_hamiltonian",
-    ), "hamiltonians"),
-    **dict.fromkeys((
         "Statevector",
         "apply_cost_unitary",
         "apply_mixer_unitary",
+        "build_mixer_hamiltonian",
         "measure_counts",
         "prepare_uniform_codespace",
     ), "statevector"),

@@ -112,9 +112,6 @@ class Gf2Matrix:
                 pivots.append(c)
         return Gf2Matrix(self.cols, tuple(reduced)), tuple(pivots)
 
-    def rank(self) -> int:
-        return self.rref()[0].rows
-
 
 @dataclass(frozen=True)
 class Code:
@@ -247,11 +244,6 @@ def _code_from_word_ints(lengths: set[int], words: list[int], name: str, branch_
     if (1 << reduced.rows) != size:
         raise NotLinearError("codeword set is not closed under XOR")
     return _finish_code(reduced, pivots, branch_bits, name)
-
-
-def min_weight_codewords(code: Code) -> list[BitVector]:
-    """All nonzero codewords of weight exactly ``code.d``, in lexicographic order."""
-    return [BitVector(code.n, w) for w in code.codewords if 0 < w.bit_count() == code.d]
 
 
 # Built-in codes: a [6,3,3] block code, a [3,2,1] block code, and a rate-1/2

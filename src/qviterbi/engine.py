@@ -20,11 +20,13 @@ way. The final measurement reads the ML optimum and its codewords off the
 problem's distance vector, which already holds every codeword's distance.
 
 ``run_pqc`` and the ``expectation_*`` functions run the same circuit on the
-folded n-qubit statevector of ``statevector``: it serves ``--dump-state``, the
-benchmark re-scores reports with it (``perfbench/checks.py``), and the tests
-check the compiled problem against it. The 2n-qubit full-register circuit is a
-test reference (``tests/reference.py``). The ``statevector`` names imported
-here, ``minimize`` and ``trellis.ml_brute_force`` are looked up in this module
+folded n-qubit statevector of ``statevector``, with the mixer as its tuple of
+X-masks; no Pauli form of either generator exists in the package. It serves
+``--dump-state``, the benchmark re-scores reports with it
+(``perfbench/checks.py``), and the tests check the compiled problem against
+it. The 2n-qubit full-register circuit is a test reference
+(``tests/reference.py``). The ``statevector`` names imported here,
+``minimize`` and ``trellis.ml_brute_force`` are looked up in this module
 because ``perfbench/spans.py`` wraps them here; ``ml_brute_force`` also stays
 the tests' independent oracle.
 
@@ -46,13 +48,13 @@ import numpy as np
 
 from .codes import BitVector, Code
 from .errors import LengthError
-from .hamiltonians import build_mixer_hamiltonian
 from .nelder_mead import minimize
 from .problem import DecodeProblem
 from .statevector import (
     Statevector,
     apply_cost_unitary,
     apply_mixer_unitary,
+    build_mixer_hamiltonian,
     distances_to,
     measure_counts,
     prepare_uniform_codespace,

@@ -16,7 +16,10 @@ every such operator. With W the unnormalised Walsh-Hadamard matrix
 
 and lambda is the Walsh-Hadamard transform of M's indicator vector. One layer
 is then two transforms W and two diagonal phases on 2^k amplitudes. The dense
-simulator in ``statevector`` costs O(|M| 2^n).
+simulator in ``statevector`` rotates the basis pairs of each X-mask in M over
+all 2^n amplitudes, O(|M| 2^n) a layer. The indicator of M is derived here
+from ``code.codewords`` and ``code.d``, not taken from that mixer, so the two
+simulators stay independent.
 
 W has two implementations, and each problem picks one by k. Up to
 ``DENSE_WALSH_MAX_K`` it is one product with the +-1 Sylvester matrix, O(4^k)

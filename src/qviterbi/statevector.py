@@ -7,15 +7,19 @@ by term for the mixer, and produces the ``--dump-state`` amplitudes. The
 benchmark re-scores reports with it (``perfbench/checks.py``), and the tests
 check the compiled simulator against it.
 
-The received vector is a fixed basis state, so the Z operators of the cost's
-ancilla register reduce to known scalar phases and no ancilla qubits are
-simulated ("folded"). The 2n-qubit full-register circuit, with the literal
-CX / Rz / CX cost and the H / CX / Rz mixer chain, is a test reference in
-``tests/reference.py``, where the folded circuit is checked against it.
+The mixer is a tuple of X-masks: each minimum-weight codeword, as an int,
+marks the qubits of one X-string. No Pauli form of the mixer or of the cost
+exists in the package. The received vector is a fixed basis state, so the Z
+operators of the cost's ancilla register reduce to known scalar phases and no
+ancilla qubits are simulated ("folded"). The 2n-qubit full-register circuit,
+with the literal CX / Rz / CX cost and the H / CX / Rz mixer chain, and the
+cost's Pauli form are test references in ``tests/reference.py``, where the
+folded circuit is checked against them.
 
 Basis convention: amplitude index i encodes the bit string whose qubit q
-(0-based, leftmost printed bit first) is ``(i >> (num_qubits - 1 - q)) & 1``.
-Gates mutate the state in place; a Statevector must not be shared mutably.
+(0-based, leftmost printed bit first) is ``(i >> (num_qubits - 1 - q)) & 1``,
+so a codeword's int is also its X-mask. Gates mutate the state in place; a
+Statevector must not be shared mutably.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ import math
 import numpy as np
 
 from .codes import BitVector, Code
-from .errors import LengthError, StatePrepError
-from .hamiltonians import PauliHamiltonian
+from .errors import EmptyMixerError, LengthError, StatePrepError
 from .problem import popcounts
 
 MAX_QUBITS = 24
@@ -71,17 +74,10 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def _mask(self, qubit: int) -> int:
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
         return 1 << (self.num_qubits - 1 - qubit)
-
-    def _zero_side(self, mask: int) -> np.ndarray:
-        idx = np.arange(self.dim)
-        return idx[(idx & mask) == 0]
 
     def _split(self, qubit: int) -> np.ndarray:
         """The amplitudes as a (2^qubit, 2, rest) view whose middle axis is ``qubit``'s bit.
@@ -112,23 +108,6 @@ class Statevector:
         a0 = lo.copy()
         lo[...] = hi
         hi[...] = a0
-
-    def apply_xstring_rotation(self, beta: float, qubits) -> None:
-        """exp(-i beta X...X) on the given qubits, by direct basis-pair rotation."""
-        mask = 0
-        for q in qubits:
-            mask |= self._mask(q)
-        if mask == 0:
-            self.amplitudes *= np.exp(-1j * beta)
-            return
-        pick = mask & (-mask)
-        sel = self._zero_side(pick)
-        partner = sel ^ mask
-        c, s = math.cos(beta), math.sin(beta)
-        a = self.amplitudes[sel].copy()
-        b = self.amplitudes[partner].copy()
-        self.amplitudes[sel] = c * a - 1j * s * b
-        self.amplitudes[partner] = -1j * s * a + c * b
 
     def to_json_entries(self) -> list[list[float]]:
         """Amplitude dump as [index, real, imag] rows."""
@@ -184,16 +163,39 @@ def apply_cost_unitary(sv: Statevector, gamma: float, received: BitVector) -> St
     return sv
 
 
-def apply_mixer_unitary(sv: Statevector, beta: float, mixer: PauliHamiltonian) -> Statevector:
-    """exp(-i beta H_m) for an all-X mixer, term by term in the stored order.
+def build_mixer_hamiltonian(code: Code) -> tuple[int, ...]:
+    """The mixer's X-strings as masks: the nonzero codewords of weight ``code.d``, ascending.
+
+    Mask bit ``1 << (n - 1 - q)`` puts an X on qubit q, so each term acts on
+    exactly the support of its codeword. The order is exact since X-strings
+    commute.
+    """
+    masks = tuple(w for w in code.codewords if w and w.bit_count() == code.d)
+    if not masks:
+        raise EmptyMixerError("degenerate code has no nonzero codewords")
+    return masks
+
+
+def apply_mixer_unitary(sv: Statevector, beta: float, mixer: tuple[int, ...]) -> Statevector:
+    """exp(-i beta H_m) for a mixer of X-masks, term by term in the stored order.
 
     The term order is exact because X-strings commute. Each term rotates the
-    basis-state pairs its X-string exchanges.
+    basis-state pairs (i, i ^ mask) its X-string exchanges; the first member
+    of a pair is an index whose bit at the mask's lowest set bit is 0.
     """
-    if not all(string.is_all("X") for _, string in mixer.terms):
-        raise ValueError("mixer must contain only X factors")
-    for coeff, string in mixer.terms:
-        sv.apply_xstring_rotation(beta * coeff, string.qubits)
+    amps = sv.amplitudes
+    index = np.arange(sv.dim)
+    c, s = math.cos(beta), math.sin(beta)
+    for mask in mixer:
+        # Contiguous: numpy gathers through a flat index faster than a strided one.
+        first = index.reshape(-1, 2, mask & -mask)[:, 0].ravel()
+        second = first ^ mask
+        a, b = amps[first], amps[second]
+        # Two formulas, not c * amps - 1j * s * amps[index ^ mask] over all
+        # pairs at once: that gives the same values but other signs on the
+        # zeros outside the codespace, which --dump-state prints.
+        amps[first] = c * a - 1j * s * b
+        amps[second] = -1j * s * a + c * b
     return sv
 
 

@@ -54,7 +54,7 @@ def reed_muller_1(m):
 
 
 def _rank(rows):
-    return Gf2Matrix.from_rows(rows).rank()
+    return Gf2Matrix.from_rows(rows).rref()[0].rows
 
 
 @st.composite

@@ -4,10 +4,11 @@ The package ships one dense circuit, the folded n-qubit statevector of
 ``qviterbi.statevector``. This module builds the circuit the paper draws, on
 a codeword register (qubits 0 .. n-1) and an ancilla register holding the
 received word (qubits n .. 2n-1), gate by gate: the cost is a CX - Rz(-gamma)
-- CX sandwich on each codeword/ancilla pair and each mixer term a
-Hadamard-conjugated CX chain around one Rz. It also holds the Pauli form of
-the cost, Z_i Z_(n+i) terms whose eigenvalue is the Hamming distance between
-the registers, and the Fourier expansion of the XOR clause it comes from.
+- CX sandwich on each codeword/ancilla pair and each mixer term, an X-mask
+over the codeword register, a Hadamard-conjugated CX chain around one Rz. It
+also holds the Pauli form of the cost, Z_i Z_(n+i) terms as (coefficient,
+Z-mask) pairs whose eigenvalue is the Hamming distance between the registers,
+and the Fourier expansion of the XOR clause it comes from.
 
 The tests check the folded circuit and the compiled codespace simulator
 against these. Its name does not start with ``test_``, so pytest does not
@@ -23,8 +24,6 @@ from qviterbi import (
     BitVector,
     Code,
     LengthError,
-    PauliHamiltonian,
-    PauliString,
     QaoaParams,
     Statevector,
     build_mixer_hamiltonian,
@@ -76,18 +75,20 @@ def apply_full_cost_unitary(sv: Statevector, gamma: float, received: BitVector) 
     return sv
 
 
-def apply_mixer_gates(sv: Statevector, beta: float, mixer: PauliHamiltonian) -> Statevector:
+def apply_mixer_gates(sv: Statevector, beta: float, mixer: tuple[int, ...], n: int) -> Statevector:
     """exp(-i beta H_m) term by term, each X-string as H, a CX chain, Rz and back.
 
-    It must agree with the pairing rotation of ``apply_mixer_unitary`` to 1e-12.
+    Each mask acts on the n-qubit codeword register, qubit q at bit
+    ``1 << (n - 1 - q)``. It must agree with the pairing rotation of
+    ``apply_mixer_unitary`` to 1e-12.
     """
-    for coeff, string in mixer.terms:
-        qubits = string.qubits
+    for mask in mixer:
+        qubits = [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
         for q in qubits:
             sv.apply_h(q)
         for a, b in zip(qubits, qubits[1:]):
             sv.apply_cx(a, b)
-        apply_rz(sv, 2.0 * (beta * coeff), qubits[-1])
+        apply_rz(sv, 2.0 * beta, qubits[-1])
         for a, b in reversed(list(zip(qubits, qubits[1:]))):
             sv.apply_cx(a, b)
         for q in qubits:
@@ -100,7 +101,7 @@ def run_full_register(code: Code, received: BitVector, params: QaoaParams) -> St
     sv = prepare_full_register(code, received)
     mixer = build_mixer_hamiltonian(code)
     for beta, gamma in zip(params.betas, params.gammas):
-        apply_mixer_gates(sv, beta, mixer)
+        apply_mixer_gates(sv, beta, mixer, code.n)
         apply_full_cost_unitary(sv, gamma, received)
     return sv
 
@@ -135,35 +136,27 @@ def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-1
     return bool(np.allclose(a * phase, b, atol=atol))
 
 
-def build_cost_hamiltonian(n: int) -> PauliHamiltonian:
+def build_cost_hamiltonian(n: int) -> tuple[int, tuple[tuple[float, int], ...]]:
     """Diagonal cost observable on an n-qubit codeword and n-qubit ancilla register.
 
-    One term of coefficient -1/2 couples codeword qubit i to ancilla qubit i,
-    plus an identity term of n/2, so the eigenvalue on |x>|r> is the Hamming
+    Returned as (register width 2n, terms), each term a (coefficient, Z-mask)
+    pair over the 2n qubits, qubit q at bit ``1 << (2n - 1 - q)``. One term of
+    coefficient -1/2 couples codeword qubit i to ancilla qubit i, plus an
+    identity term (mask 0) of n/2, so the eigenvalue on |x>|r> is the Hamming
     distance between x and r.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    terms: list[tuple[float, PauliString]] = [(n / 2.0, PauliString(()))]
-    for i in range(n):
-        terms.append((-0.5, PauliString(((i, "Z"), (n + i, "Z")))))
-    return PauliHamiltonian(tuple(terms), num_qubits=2 * n)
+    terms = [(n / 2.0, 0)] + [(-0.5, (1 << (2 * n - 1 - i)) | (1 << (n - 1 - i))) for i in range(n)]
+    return 2 * n, tuple(terms)
 
 
-def eigenvalue_of(h: PauliHamiltonian, basis_state: BitVector) -> float:
-    """Eigenvalue of a diagonal (all-Z) Hamiltonian on a computational basis state."""
-    if not all(string.is_all("Z") for _, string in h.terms):
-        raise ValueError("Hamiltonian has non-Z factors")
-    if len(basis_state) != h.num_qubits:
-        raise LengthError(f"basis state has {len(basis_state)} bits, Hamiltonian acts on {h.num_qubits}")
-    value = 0.0
-    for coeff, string in h.terms:
-        sign = 1
-        for q, _ in string.paulis:
-            if (basis_state.value >> (basis_state.length - 1 - q)) & 1:
-                sign = -sign
-        value += coeff * sign
-    return value
+def eigenvalue_of(h: tuple[int, tuple[tuple[float, int], ...]], basis_state: BitVector) -> float:
+    """Eigenvalue of a diagonal Hamiltonian on a basis state: sum of c * (-1)^popcount(mask & state)."""
+    width, terms = h
+    if len(basis_state) != width:
+        raise LengthError(f"basis state has {len(basis_state)} bits, Hamiltonian acts on {width}")
+    return sum(coeff * (-1) ** (mask & basis_state.value).bit_count() for coeff, mask in terms)
 
 
 def fourier_expand_xor(output_range: str = "pm1") -> dict[tuple[int, ...], float]:

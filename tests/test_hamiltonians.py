@@ -5,13 +5,11 @@ from qviterbi import (
     BitVector,
     EmptyMixerError,
     LengthError,
-    PauliHamiltonian,
-    PauliString,
     build_mixer_hamiltonian,
     code_from_codewords,
 )
 from qviterbi.problem import DecodeProblem, fwht
-from conftest import BUILTIN_NAMES
+from conftest import BUILTIN_NAMES, MIN_WEIGHT_633, MIN_WEIGHT_CONV
 from reference import build_cost_hamiltonian, eigenvalue_of, fourier_expand_xor
 
 
@@ -31,25 +29,27 @@ def g_matrix(code):
     return np.rint(g).astype(int)
 
 
-def term_supports(h):
-    """X-term supports as 1-based position sets, for readable comparisons."""
-    return {frozenset(q + 1 for q in string.qubits) for _, string in h.terms}
+def term_supports(masks, n):
+    """X-mask supports as 1-based position sets, for readable comparisons."""
+    return {frozenset(q + 1 for q in range(n) if (mask >> (n - 1 - q)) & 1) for mask in masks}
 
 
 class TestCostHamiltonian:
     def test_single_bit_structure(self):
-        h = build_cost_hamiltonian(1)
-        terms = {string: coeff for coeff, string in h.terms}
-        assert terms[PauliString(())] == 0.5
-        assert terms[PauliString(((0, "Z"), (1, "Z")))] == -0.5
-        assert len(terms) == 2
+        width, terms = build_cost_hamiltonian(1)
+        assert width == 2
+        coeffs = {mask: coeff for coeff, mask in terms}
+        assert coeffs[0] == 0.5
+        assert coeffs[0b11] == -0.5
+        assert len(coeffs) == 2
 
     def test_term_count_and_coefficients(self):
-        h = build_cost_hamiltonian(6)
-        assert len(h.terms) == 7
-        identity = [c for c, s in h.terms if not s.paulis]
+        width, terms = build_cost_hamiltonian(6)
+        assert width == 12
+        assert len(terms) == 7
+        identity = [c for c, mask in terms if not mask]
         assert identity == [3.0]
-        assert all(c == -0.5 for c, s in h.terms if s.paulis)
+        assert all(c == -0.5 for c, mask in terms if mask)
 
     def test_matched_registers_eigenvalue_zero(self):
         h = build_cost_hamiltonian(6)
@@ -73,15 +73,14 @@ class TestCostHamiltonian:
                 assert eigenvalue_of(h, state) == (x ^ r).bit_count()
 
     def test_locality(self):
-        h = build_cost_hamiltonian(8)
-        assert all(len(s.qubits) <= 2 for _, s in h.terms)
+        _, terms = build_cost_hamiltonian(8)
+        assert all(mask.bit_count() <= 2 for _, mask in terms)
 
 
 class TestEigenvalueOf:
-    def test_rejects_non_diagonal(self, lbc_633):
-        mixer = build_mixer_hamiltonian(lbc_633)
-        with pytest.raises(ValueError, match="non-Z"):
-            eigenvalue_of(mixer, bv("000000"))
+    def test_identity(self):
+        # Mask 0 is the empty product: eigenvalue 1 on every basis state.
+        assert [eigenvalue_of((2, ((1.0, 0),)), BitVector(2, v)) for v in range(4)] == [1.0] * 4
 
     def test_rejects_wrong_length(self):
         with pytest.raises(LengthError):
@@ -130,25 +129,28 @@ class TestFourierExpansion:
 class TestMixerHamiltonian:
     def test_633_terms(self, lbc_633):
         h = build_mixer_hamiltonian(lbc_633)
-        assert term_supports(h) == {
+        assert term_supports(h, 6) == {
             frozenset({1, 2, 3}),
             frozenset({1, 5, 6}),
             frozenset({3, 4, 5}),
             frozenset({2, 4, 6}),
         }
-        assert all(c == 1.0 for c, _ in h.terms)
+        # The masks are the minimum-weight codewords, in ascending order.
+        assert h == tuple(int(w, 2) for w in sorted(MIN_WEIGHT_633))
 
     def test_convolutional_terms(self, conv_code):
         h = build_mixer_hamiltonian(conv_code)
-        assert term_supports(h) == {
+        assert term_supports(h, 10) == {
             frozenset({1, 2, 4, 5, 6}),
             frozenset({3, 4, 6, 7, 8}),
             frozenset({5, 6, 8, 9, 10}),
         }
+        assert h == tuple(int(w, 2) for w in sorted(MIN_WEIGHT_CONV))
 
     def test_321_single_term(self, lbc_321):
         h = build_mixer_hamiltonian(lbc_321)
-        assert term_supports(h) == {frozenset({2})}
+        assert h == (0b010,)
+        assert term_supports(h, 3) == {frozenset({2})}
 
     def test_zero_code_raises(self):
         code = code_from_codewords([BitVector(3, 0)])
@@ -159,17 +161,13 @@ class TestMixerHamiltonian:
     def test_terms_touch_exactly_d_qubits(self, name, all_builtins):
         code = all_builtins[name]
         h = build_mixer_hamiltonian(code)
-        assert all(len(s.qubits) == code.d for _, s in h.terms)
+        assert all(mask.bit_count() == code.d for mask in h)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_action_stays_in_codespace(self, name, all_builtins):
         code = all_builtins[name]
-        h = build_mixer_hamiltonian(code)
+        masks = build_mixer_hamiltonian(code)
         members = {c.to_index() for c in code.codespace}
-        masks = [
-            sum(1 << (code.n - 1 - q) for q in string.qubits)
-            for _, string in h.terms
-        ]
         for c in code.codespace:
             for mask in masks:
                 assert (c.to_index() ^ mask) in members
@@ -203,14 +201,10 @@ class TestGMatrix:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_matches_mixer_restricted_to_codespace(self, name, all_builtins):
-        # The Pauli mixer's matrix elements between codewords must reproduce
+        # The X-mask mixer's matrix elements between codewords must reproduce
         # the compiled operator exactly.
         code = all_builtins[name]
-        h = build_mixer_hamiltonian(code)
-        masks = {
-            sum(1 << (code.n - 1 - q) for q in string.qubits)
-            for _, string in h.terms
-        }
+        masks = set(build_mixer_hamiltonian(code))
         index_of = {w: i for i, w in enumerate(code.codewords)}
         expected = np.zeros((len(code.codewords),) * 2, dtype=int)
         for j, w in enumerate(code.codewords):
@@ -227,19 +221,3 @@ class TestGMatrix:
             for k, b in enumerate(words):
                 assert g[j, k] == int(j != k and (a.to_index() ^ b.to_index()).bit_count() == code.d)
 
-
-class TestPauliString:
-    def test_orders_and_validates(self):
-        s = PauliString(((2, "X"), (0, "X")))
-        assert s.qubits == (0, 2)
-        with pytest.raises(ValueError):
-            PauliString(((0, "X"), (0, "Z")))
-        with pytest.raises(ValueError):
-            PauliString(((0, "Y"),))
-
-    def test_identity(self):
-        # The empty product has no factors and eigenvalue 1 on every basis state.
-        identity = PauliString(())
-        assert identity.qubits == ()
-        h = PauliHamiltonian(((1.0, identity),), num_qubits=2)
-        assert [eigenvalue_of(h, BitVector(2, v)) for v in range(4)] == [1.0] * 4

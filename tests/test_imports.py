@@ -15,17 +15,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # Every name the package exports, with the submodule that defines it.
 EXPORTS = {
     "codes": ["BitVector", "Code", "Gf2Matrix", "builtin_code", "builtin_names", "code_from_codewords",
-              "code_from_generator", "code_from_json", "load_code", "min_weight_codewords"],
+              "code_from_generator", "code_from_json", "load_code"],
     "engine": ["QaoaParams", "TrainingResult", "expectation_exact", "expectation_sampled", "landscape_scan",
                "run_pqc", "train_fpo", "train_random", "train_upo"],
     "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError", "StatePrepError"],
-    "hamiltonians": ["PauliHamiltonian", "PauliString", "build_mixer_hamiltonian"],
-    "statevector": ["Statevector", "apply_cost_unitary", "apply_mixer_unitary", "measure_counts",
-                    "prepare_uniform_codespace"],
+    "statevector": ["Statevector", "apply_cost_unitary", "apply_mixer_unitary", "build_mixer_hamiltonian",
+                    "measure_counts", "prepare_uniform_codespace"],
     "trellis": ["DecodeResult", "Trellis", "build_trellis", "ml_brute_force", "viterbi_decode"],
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
-LAZY_MODULES = {"engine", "hamiltonians", "statevector"}  # the submodules that import numpy
+LAZY_MODULES = {"engine", "statevector"}  # the submodules that import numpy
 
 DECODE = ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2", "--seed", "3"]
 

@@ -252,7 +252,7 @@ def test_random_codes_trellis_matches_brute_force(case):
     h = bit_array(code.parity_check).astype(np.int64)
     assert not (g @ h.T % 2).any()
     assert h.shape == (code.n - code.k, code.n)
-    assert code.parity_check.rank() == code.n - code.k
+    assert code.parity_check.rref()[0].rows == code.n - code.k
     assert path_count(trellis) == 1 << code.k
     layers = node_layers(trellis)
     assert layers[0] == layers[-1] == (0,)
