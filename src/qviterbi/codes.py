@@ -21,7 +21,11 @@ from functools import cached_property
 
 from .errors import LengthError, NotLinearError, RankError
 
-MAX_MESSAGE_BITS = 20  # codespace enumeration is capped at 2**20 words
+# ``decode``, ``landscape`` and ``ml_brute_force`` list all 2**k codewords, and
+# this cap guards that enumeration. The oracle's trellis build costs its branch
+# count, not 2**k, but the cap is checked when a code loads, so it still
+# applies to ``oracle``.
+MAX_MESSAGE_BITS = 20
 
 
 def _check_bit_string(s) -> None:

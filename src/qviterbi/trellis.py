@@ -2,12 +2,14 @@
 
 One construction serves every code, block or terminated convolutional, and
 every section width: it reads only the code's generator and parity-check
-rows, and lists each section's labels and states as XOR spans of the
-generator rows' own labels and partial syndromes (Wolf, IEEE T-IT 1978).
-``ml_brute_force`` reads the codeword list, so the two oracles share no
-decoding code. This is the exact classical reference that every variational
-decode is checked against. Ties are never broken: the decoder returns all
-codewords attaining the minimum metric.
+rows. A section's branch (state before, label, state after) is linear in the
+message, so its distinct branches are the XOR span of a basis of the
+generator rows' own branches, and each section costs work equal to its branch
+count, not to the 2^k messages (Wolf, IEEE T-IT 1978; McEliece, IEEE T-IT
+1996). ``ml_brute_force`` reads the codeword list, so the two oracles share
+no decoding code. This is the exact classical reference that every
+variational decode is checked against. Ties are never broken: the decoder
+returns all codewords attaining the minimum metric.
 
 The decoder keeps only path metrics, one ``{state: metric}`` dict per time
 point, and no survivor lists. The backtrack recovers the survivors from the
@@ -28,9 +30,10 @@ class Trellis:
 
     ``branch_layers[t]`` holds the branches of instant ``t`` as
     ``(from_state, label, to_state)`` int triples, ``label`` being the section's
-    bits as an int. States are ints; the paths start and end at state 0. Every
-    branch lies on a codeword path, so every ``from_state`` is reachable from
-    the root and every ``to_state`` reaches the sink.
+    bits as an int; each branch occurs once, in no set order. States are ints;
+    the paths start and end at state 0. Every branch lies on a codeword path,
+    so every ``from_state`` is reachable from the root and every ``to_state``
+    reaches the sink.
     """
 
     code: Code
@@ -58,12 +61,18 @@ def build_trellis(code: Code) -> Trellis:
     built. Any path from 0 to 0 spells a word with zero syndrome, which is a
     codeword, so the paths are exactly the codewords.
 
-    A codeword's section label and partial syndrome are linear in its
-    message, so each section's labels and states are the XOR spans
-    (``codes.span``) of the generator rows' own labels and partial syndromes,
-    in message order. Each row's partial syndrome moves from cut to cut by
-    H's columns at the row's bits in the section. The build reads no codeword
-    list, and the same steps serve every section width.
+    A codeword's branch in a section, (partial syndrome before, section bits,
+    partial syndrome after), is linear in its message, so the section's
+    branches are the XOR span of the generator rows' branches. Each row's
+    partial syndrome moves from cut to cut by H's columns at the row's bits in
+    the section. The rows' branches are reduced to a basis of r_t <= k
+    elements, and ``codes.span`` of each field of the basis lists the 2^r_t
+    distinct branches once each: the work per section is proportional to its
+    branch count. Each start state reuses the int object of the previous
+    section's end state, so a layer holds no second int per branch. The
+    build reads no codeword list, and the same steps serve every section
+    width. The order of the branches within a layer is not part of the
+    result.
     """
     b = code.branch_bits
     mask = (1 << b) - 1
@@ -71,23 +80,41 @@ def build_trellis(code: Code) -> Trellis:
     # syndrome with the first check row most significant.
     columns = [0] * code.n
     rows = code.parity_check.words
+    r = len(rows)
     for i, row in enumerate(rows):
-        check = 1 << (len(rows) - 1 - i)
+        check = 1 << (r - 1 - i)
         while row:
             low = row & -row
             columns[low.bit_length() - 1] |= check
             row ^= low
     generator = code.generator.words
     partial = [0] * code.k  # each generator row's partial syndrome at the current cut
-    states = [0] * (1 << code.k)
+    states = {0: 0}  # the one int object kept for each state at the current cut
     branch_layers = []
     for shift in range(code.n - b, -1, -b):
+        before = partial
         for j in range(shift, shift + b):
             partial = [s ^ columns[j] if (g >> j) & 1 else s for s, g in zip(partial, generator)]
-        labels = span([(g >> shift) & mask for g in generator])
-        nxt = span(partial)
-        branch_layers.append(tuple(set(zip(states, labels, nxt))))
-        states = nxt
+        # Each row's branch packed as one int, reduced against the basis so far:
+        # an appended element has every earlier element's leading bit cleared,
+        # so the leading bits differ and the basis spans each branch once.
+        basis = []
+        for frm, g, to in zip(before, generator, partial):
+            x = (frm << b | (g >> shift) & mask) << r | to
+            for y in basis:
+                x = min(x, x ^ y)
+            if x:
+                basis.append(x)
+        # Every start state is an end state of the previous section.
+        froms = list(map(states.__getitem__, span([x >> (b + r) for x in basis])))
+        labels = span([(x >> r) & mask for x in basis])
+        tos = span([x & ((1 << r) - 1) for x in basis])
+        states = dict(zip(tos, tos))
+        # Through a list, so the tuple is made at its final size. ``tuple(zip())``
+        # grows a guessed size by resizing, and CPython then parks the freed
+        # layers on its per-size tuple free lists, which the next build does
+        # not draw from: up to 0.5 MB kept over a run of decode requests.
+        branch_layers.append(tuple(list(zip(froms, labels, tos))))
     return Trellis(code, b, tuple(branch_layers))
 
 

@@ -12,12 +12,15 @@ stdout bytes under both trees; it exits 1 if any run's stdout differs. The
 Golay [24,12,8] code file and the conv20 codeword-list file (the terminated
 rate-1/2 [20,8,5] convolutional code, the median request of the benchmark's
 oracle_bulk workload) are written by ``perfbench/workloads``, which the script
-imports and does not change. Its name does not start with ``test_``,
-so pytest does not collect it.
+imports and does not change; the seeded systematic [28, 20] code, k at the
+``MAX_MESSAGE_BITS`` cap, is written from ``seeded_systematic_28_20`` here.
+Its name does not start with ``test_``, so pytest does not collect it.
 """
 from __future__ import annotations
 
+import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -28,6 +31,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 GOLAY_RECEIVED = "101100111000101011110000"
 CONV20_RECEIVED = "11011001110100101100"
+K28_RECEIVED = "1011001110001010111100001101"
+
+
+def seeded_systematic_28_20() -> list[list[int]]:
+    """Rows of a systematic [28, 20] generator, k at the ``MAX_MESSAGE_BITS``
+    cap: the identity, then 8 parity bits per row from ``random.Random(28)``."""
+    rng = random.Random(28)
+    return [[int(i == j) for j in range(20)] + [rng.randint(0, 1) for _ in range(8)] for i in range(20)]
 
 
 def commands(codes_dir: str) -> dict[str, list[str]]:
@@ -36,10 +47,14 @@ def commands(codes_dir: str) -> dict[str, list[str]]:
     from workloads import write_code_files
 
     files = write_code_files(["golay24", "conv20"], codes_dir)
+    files["k28"] = os.path.join(codes_dir, "k28.json")
+    with open(files["k28"], "w") as fh:
+        json.dump({"name": "k28", "generator": seeded_systematic_28_20()}, fh)
     return {
         "oracle lbc_633": ["oracle", "--code", "lbc_633", "--received", "111011"],
         "oracle golay24": ["oracle", "--code", files["golay24"], "--received", GOLAY_RECEIVED],
         "oracle conv20": ["oracle", "--code", files["conv20"], "--received", CONV20_RECEIVED],
+        "oracle [28, 20]": ["oracle", "--code", files["k28"], "--received", K28_RECEIVED],
         "decode lbc_633": ["decode", "--code", "lbc_633", "--received", "111011", "--p", "2", "--q", "2",
                            "--seed", "3"],
         "landscape lbc_633": ["landscape", "--code", "lbc_633", "--received", "111011", "--p", "1",

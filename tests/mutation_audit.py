@@ -124,6 +124,21 @@ MUTANTS = (
         ("tests/test_trellis.py::TestBuildTrellis::test_path_count_is_codespace_size[lbc_633]",),
     ),
     Mutant(
+        "trellis_basis_not_reduced",
+        "src/qviterbi/trellis.py",
+        "                x = min(x, x ^ y)\n",
+        "                pass\n",
+        ("tests/test_trellis.py::TestBuildTrellis::test_branch_sets_are_the_codeword_triples[lbc_633]",
+         "tests/test_trellis.py::TestBuildTrellis::test_k_cap_build_work_is_bounded_by_the_branch_count"),
+    ),
+    Mutant(
+        "trellis_label_shifted_by_one_bit",
+        "src/qviterbi/trellis.py",
+        "labels = span([(x >> r) & mask for x in basis])",
+        "labels = span([(x >> (r + 1)) & mask for x in basis])",
+        ("tests/test_trellis.py::TestBuildTrellis::test_branch_sets_are_the_codeword_triples[conv_r12_m2]",),
+    ),
+    Mutant(
         "brute_force_minimum_off_by_one",
         "src/qviterbi/trellis.py",
         "best_metric = min(metrics)",

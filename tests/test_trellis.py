@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qviterbi.trellis
 from qviterbi import (
     BitVector,
     Gf2Matrix,
@@ -14,6 +17,7 @@ from qviterbi import (
     viterbi_decode,
 )
 from qviterbi.codes import span
+from cold_start import seeded_systematic_28_20
 from conftest import BUILTIN_NAMES, bit_array, generators, span_words
 
 
@@ -37,6 +41,28 @@ def path_count(trellis):
                 nxt[to] = nxt.get(to, 0) + counts[frm]
         counts = nxt
     return counts.get(0, 0)
+
+
+def assert_branch_sets_are_the_codeword_triples(code, trellis):
+    """Each layer holds every branch once, and its branches are the triples
+    (H prefix_t, section bits, H prefix_t+1) over the codewords, where prefix_t
+    is a codeword with its bits from cut t on set to zero; computed here with
+    numpy from the codeword list and H."""
+    b = code.branch_bits
+    words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
+    h = bit_array(code.parity_check).astype(np.int64)
+    leading = 1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64)
+    states = []
+    for t in range(code.n // b + 1):
+        prefix = words.copy()
+        prefix[:, t * b:] = 0
+        states.append((prefix @ h.T % 2 @ leading).tolist())
+    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
+    assert trellis.num_instants == code.n // b
+    for t, layer in enumerate(trellis.branch_layers):
+        labels = (words[:, t * b:(t + 1) * b] @ weights).tolist()
+        assert len(set(layer)) == len(layer)
+        assert set(layer) == set(zip(states[t], labels, states[t + 1]))
 
 
 class TestBuildTrellis:
@@ -69,6 +95,35 @@ class TestBuildTrellis:
     def test_path_count_is_codespace_size(self, name, all_builtins):
         code = all_builtins[name]
         assert path_count(build_trellis(code)) == 1 << code.k
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_branch_sets_are_the_codeword_triples(self, name, all_builtins):
+        code = all_builtins[name]
+        assert_branch_sets_are_the_codeword_triples(code, build_trellis(code))
+
+    def test_k_cap_build_work_is_bounded_by_the_branch_count(self, monkeypatch):
+        # A seeded [28, 20] code: 2^20 messages, 7164 branches. The build
+        # lists each branch once per field and no message; a build that would
+        # list more fails before it makes the list.
+        code = code_from_generator(Gf2Matrix.from_rows(seeded_systematic_28_20()))
+        branches = 7164
+        listed = []
+
+        def counting_span(values):
+            listed.append(1 << len(values))
+            assert sum(listed) <= 3 * branches
+            return span(values)
+
+        monkeypatch.setattr(qviterbi.trellis, "span", counting_span)
+        trellis = build_trellis(code)
+        monkeypatch.undo()
+        assert sum(map(len, trellis.branch_layers)) == branches
+        assert sum(listed) <= 3 * branches
+        assert "codewords" not in vars(code)
+        rng = random.Random(20)
+        for _ in range(3):
+            r = BitVector(code.n, rng.getrandbits(code.n))
+            assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
 
 
 class TestViterbiDecode:
@@ -155,6 +210,10 @@ class TestGolay24:
         assert "codewords" not in vars(code) and "d" not in vars(code)
         assert code.d == 8
         assert len(vars(code)["codewords"]) == 1 << 12
+
+    def test_branch_sets_are_the_codeword_triples(self, golay24):
+        code, trellis = golay24
+        assert_branch_sets_are_the_codeword_triples(code, trellis)
 
     def test_trellis_has_thousands_of_states(self, golay24):
         code, trellis = golay24
@@ -260,11 +319,8 @@ def test_random_codes_trellis_matches_brute_force(case):
     # forward pass of viterbi_decode reads a metric for every ``frm``.
     for t, branches in enumerate(trellis.branch_layers):
         assert tuple(sorted({frm for frm, _, _ in branches})) == layers[t]
-    # The states at a cut are H times each codeword's bits before it, the first check row leading.
-    words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
-    leading = 1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64)
-    for t, layer in enumerate(layers):
-        prefix = words.copy()
-        prefix[:, t * code.branch_bits:] = 0
-        assert layer == tuple(sorted(set((prefix @ h.T % 2 @ leading).tolist())))
+    # The states at a cut are H times each codeword's bits before it, the
+    # first check row leading, and each layer's branches are exactly the
+    # codewords' triples.
+    assert_branch_sets_are_the_codeword_triples(code, trellis)
     assert decoded == [ml_brute_force(code, r) for r in received]
