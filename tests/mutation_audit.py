@@ -44,15 +44,15 @@ MUTANTS = (
     Mutant(
         "ties_overwritten",
         "src/qviterbi/trellis.py",
-        "kept.setdefault(frm, []).extend(head | s for s in suffixes[to])",
-        "kept[frm] = [head | s for s in suffixes[to]]",
+        "kept.setdefault(froms[x], []).extend(head | s for s in tails)",
+        "kept[froms[x]] = [head | s for s in tails]",
         ("tests/test_trellis.py::TestViterbiDecode::test_321_keeps_both_ties",),
     ),
     Mutant(
         "backtrack_without_metric_check",
         "src/qviterbi/trellis.py",
-        "if to in suffixes and before[frm] + (label ^ chunk).bit_count() == after[to]:",
-        "if to in suffixes:",
+        "if paths[x] == target:",
+        "if True:",
         ("tests/test_trellis.py::TestViterbiDecode::test_633_single_error",),
     ),
     Mutant(
@@ -119,8 +119,10 @@ MUTANTS = (
     Mutant(
         "trellis_drops_one_branch",
         "src/qviterbi/trellis.py",
-        "    return Trellis(code, b, tuple(branch_layers))\n",
-        "    branch_layers[-1] = branch_layers[-1][:-1]\n    return Trellis(code, b, tuple(branch_layers))\n",
+        "    return Trellis(code, b, tuple(sections))\n",
+        "    froms, labels, j = sections[-1]\n"
+        "    sections[-1] = (froms[:-1], labels[:-1], j)\n"
+        "    return Trellis(code, b, tuple(sections))\n",
         ("tests/test_trellis.py::TestBuildTrellis::test_path_count_is_codespace_size[lbc_633]",),
     ),
     Mutant(
@@ -134,9 +136,33 @@ MUTANTS = (
     Mutant(
         "trellis_label_shifted_by_one_bit",
         "src/qviterbi/trellis.py",
-        "labels = span([(x >> r) & mask for x in basis])",
-        "labels = span([(x >> (r + 1)) & mask for x in basis])",
+        "span([x & mask for x in basis])",
+        "span([(x >> 1) & mask for x in basis])",
         ("tests/test_trellis.py::TestBuildTrellis::test_branch_sets_are_the_codeword_triples[conv_r12_m2]",),
+    ),
+    Mutant(
+        "trellis_merges_placed_first",
+        "src/qviterbi/trellis.py",
+        "basis = splits + merges",
+        "basis = merges + splits",
+        ("tests/test_trellis.py::TestBuildTrellis::test_each_end_states_predecessors_are_its_aligned_block[lbc_633]",
+         "tests/test_trellis.py::TestViterbiDecode::test_633_single_error"),
+    ),
+    Mutant(
+        "viterbi_skips_one_min_round",
+        "src/qviterbi/trellis.py",
+        "for _ in range(j):",
+        "for _ in range(j - (j > 1)):",
+        ("tests/test_trellis.py::TestViterbiDecode::test_633_every_section_width[3]",
+         "tests/test_trellis.py::TestViterbiDecode::test_633_every_section_width[6]"),
+    ),
+    Mutant(
+        "backtrack_block_off_by_one",
+        "src/qviterbi/trellis.py",
+        "for x in range(i << j, (i + 1) << j):",
+        "for x in range((i << j) + 1, ((i + 1) << j) + 1):",
+        ("tests/test_trellis.py::TestViterbiDecode::test_321_keeps_both_ties",
+         "tests/test_trellis.py::TestGolay24::test_matches_brute_force[111100000000000000000000]"),
     ),
     Mutant(
         "brute_force_minimum_off_by_one",

@@ -183,6 +183,13 @@ class TestTrainUpo:
         with pytest.raises(LengthError):
             train_upo(lbc_633, bv("11"), p=1, q=1, shots=10, seed=0)
 
+    def test_layer_limit_accepts_64_layers_and_rejects_65(self, lbc_321):
+        assert engine.MAX_LAYERS == 64
+        result = train_upo(lbc_321, bv("011"), p=64, q=1, shots=10, seed=0)
+        assert len(result.best_params.betas) == len(result.best_params.gammas) == 64
+        with pytest.raises(ValueError, match="64"):
+            train_upo(lbc_321, bv("011"), p=65, q=1, shots=10, seed=0)
+
 
 class TestTrainFpo:
     def test_single_layer_matches_upo(self, lbc_633):
@@ -313,6 +320,20 @@ class TestLandscape:
         f_min = ml_brute_force(lbc_321, r).best_metric
         assert rows[:, 2].min() >= f_min - 1e-9
         assert rows[:, 2].max() - rows[:, 2].min() > 0.1
+
+    def test_rows_are_beta_major(self, lbc_321):
+        # Row beta_index * grid + gamma_index holds that grid point, and its
+        # expectation is the circuit's at that point.
+        r = bv("011")
+        grid, p = 4, 2
+        rows = landscape_scan(lbc_321, r, p=p, grid=grid)
+        axis = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+        assert rows[:, 0].tolist() == np.repeat(axis, grid).tolist()
+        assert rows[:, 1].tolist() == np.tile(axis, grid).tolist()
+        for i in (1, grid, grid * grid - 1):
+            beta, gamma = rows[i, :2]
+            state = run_pqc(lbc_321, r, QaoaParams((beta,) * p, (gamma,) * p))
+            assert rows[i, 2] == pytest.approx(expectation_exact(state, r))
 
     def test_grid_validation(self, lbc_321):
         with pytest.raises(ValueError):

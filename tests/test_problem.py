@@ -191,6 +191,17 @@ def test_codewords_follow_codespace_order(name, all_builtins):
     ]
 
 
+def test_word_limit_accepts_63_bits_and_rejects_64():
+    # Codewords are held as int64: the [63, 1] repetition code compiles, with
+    # its all-ones word intact, and the [64, 1] one is refused before any
+    # int64 array is made.
+    problem = DecodeProblem(code_from_generator(Gf2Matrix.from_rows([[1] * 63])), BitVector(63, 1))
+    assert problem.codewords.tolist() == [0, (1 << 63) - 1]
+    assert problem.distances.tolist() == [1, 62]
+    with pytest.raises(ValueError, match="64"):
+        DecodeProblem(code_from_generator(Gf2Matrix.from_rows([[1] * 64])), BitVector(64, 1))
+
+
 def test_spectrum_is_mixer_eigenvalues(lbc_633):
     # lambda_t = sum over min-weight messages mu of (-1)^popcount(t & mu).
     problem = DecodeProblem(lbc_633, BitVector(6, 0))

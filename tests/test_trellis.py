@@ -1,4 +1,8 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from qviterbi import (
     BitVector,
     Gf2Matrix,
     LengthError,
+    Trellis,
     build_trellis,
     code_from_codewords,
     code_from_generator,
@@ -20,21 +25,54 @@ from qviterbi.codes import span
 from cold_start import seeded_systematic_28_20
 from conftest import BUILTIN_NAMES, bit_array, generators, span_words
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def bv(s):
     return BitVector.from_string(s)
 
 
+def syndrome_columns(code):
+    """H's column at each bit of a word (string order) as a syndrome, the first check row most significant."""
+    h = bit_array(code.parity_check).astype(np.int64)
+    return (h.T @ (1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64))).tolist()
+
+
+def branch_layers(trellis):
+    """Each section's branches as (from_state, label, to_state) int triples, in
+    index order, states being partial syndromes. A branch starts at the state
+    in its ``froms`` position of the previous cut. It ends at its start state
+    plus H's columns at the section's bits times its label, and the state at
+    position i of the next cut is the end of the first branch of block i."""
+    b = trellis.branch_bits
+    columns = syndrome_columns(trellis.code)
+    states = [0]
+    layers = []
+    for t, (froms, labels, j) in enumerate(trellis.sections):
+        steps = [columns[t * b + p] for p in range(b)]
+        layer = []
+        for f, label in zip(froms, labels):
+            to = states[f]
+            for p, column in enumerate(steps):
+                if (label >> (b - 1 - p)) & 1:
+                    to ^= column
+            layer.append((states[f], label, to))
+        layers.append(layer)
+        states = [to for _, _, to in layer[::1 << j]]
+    return layers
+
+
 def node_layers(trellis):
-    """The states at each of the num_instants + 1 cuts, read off the branch endpoints."""
-    first = {frm for frm, _, _ in trellis.branch_layers[0]}
-    return [tuple(sorted(first))] + [tuple(sorted({to for _, _, to in branches})) for branches in trellis.branch_layers]
+    """The states at each of the len(sections) + 1 cuts, read off the branch endpoints."""
+    layers = branch_layers(trellis)
+    first = {frm for frm, _, _ in layers[0]}
+    return [tuple(sorted(first))] + [tuple(sorted({to for _, _, to in branches})) for branches in layers]
 
 
 def path_count(trellis):
     """Number of root-to-sink paths, by forward dynamic programming."""
     counts = {0: 1}
-    for branches in trellis.branch_layers:
+    for branches in branch_layers(trellis):
         nxt = {}
         for frm, _, to in branches:
             if frm in counts:
@@ -43,11 +81,10 @@ def path_count(trellis):
     return counts.get(0, 0)
 
 
-def assert_branch_sets_are_the_codeword_triples(code, trellis):
-    """Each layer holds every branch once, and its branches are the triples
-    (H prefix_t, section bits, H prefix_t+1) over the codewords, where prefix_t
-    is a codeword with its bits from cut t on set to zero; computed here with
-    numpy from the codeword list and H."""
+def codeword_triples(code):
+    """Each section's set of triples (H prefix_t, section bits, H prefix_t+1)
+    over the codewords, where prefix_t is a codeword with its bits from cut t
+    on set to zero; computed with numpy from the codeword list and H."""
     b = code.branch_bits
     words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
     h = bit_array(code.parity_check).astype(np.int64)
@@ -58,11 +95,29 @@ def assert_branch_sets_are_the_codeword_triples(code, trellis):
         prefix[:, t * b:] = 0
         states.append((prefix @ h.T % 2 @ leading).tolist())
     weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-    assert trellis.num_instants == code.n // b
-    for t, layer in enumerate(trellis.branch_layers):
-        labels = (words[:, t * b:(t + 1) * b] @ weights).tolist()
+    return [set(zip(states[t], (words[:, t * b:(t + 1) * b] @ weights).tolist(), states[t + 1]))
+            for t in range(code.n // b)]
+
+
+def assert_branch_sets_are_the_codeword_triples(code, trellis):
+    """Each section holds every branch once, and its branches are the codewords' triples."""
+    assert len(trellis.sections) == code.n // code.branch_bits
+    for layer, triples in zip(branch_layers(trellis), codeword_triples(code)):
         assert len(set(layer)) == len(layer)
-        assert set(layer) == set(zip(states[t], labels, states[t + 1]))
+        assert set(layer) == triples
+
+
+def assert_blocks_are_the_predecessors(code, trellis):
+    """Each aligned block of 2^j branches is exactly the set of codeword
+    triples into one end state, and each end state has one block."""
+    for (froms, _, j), layer, triples in zip(trellis.sections, branch_layers(trellis), codeword_triples(code)):
+        ends = {to for _, _, to in triples}
+        assert len(froms) >> j == len(ends)
+        blocks = [layer[i << j:(i + 1) << j] for i in range(len(froms) >> j)]
+        assert {block[0][2] for block in blocks} == ends
+        for block in blocks:
+            to = block[0][2]
+            assert set(block) == {triple for triple in triples if triple[2] == to}
 
 
 class TestBuildTrellis:
@@ -82,7 +137,7 @@ class TestBuildTrellis:
     def test_convolutional_shape(self, conv_code):
         trellis = build_trellis(conv_code)
         assert path_count(trellis) == 8
-        assert trellis.num_instants == 5
+        assert len(trellis.sections) == 5
         assert trellis.branch_bits == 2
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -101,6 +156,11 @@ class TestBuildTrellis:
         code = all_builtins[name]
         assert_branch_sets_are_the_codeword_triples(code, build_trellis(code))
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_each_end_states_predecessors_are_its_aligned_block(self, name, all_builtins):
+        code = all_builtins[name]
+        assert_blocks_are_the_predecessors(code, build_trellis(code))
+
     def test_k_cap_build_work_is_bounded_by_the_branch_count(self, monkeypatch):
         # A seeded [28, 20] code: 2^20 messages, 7164 branches. The build
         # lists each branch once per field and no message; a build that would
@@ -117,13 +177,28 @@ class TestBuildTrellis:
         monkeypatch.setattr(qviterbi.trellis, "span", counting_span)
         trellis = build_trellis(code)
         monkeypatch.undo()
-        assert sum(map(len, trellis.branch_layers)) == branches
+        assert sum(len(froms) for froms, _, _ in trellis.sections) == branches
         assert sum(listed) <= 3 * branches
         assert "codewords" not in vars(code)
         rng = random.Random(20)
         for _ in range(3):
             r = BitVector(code.n, rng.getrandbits(code.n))
             assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
+
+
+# Builds the two-codeword code with n = argv[1] and branch_bits = argv[2] and
+# decodes argv[3], under a 1 GB address-space limit; prints the sections and
+# the result as a Python literal.
+WIDE_SECTIONS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qviterbi import BitVector, build_trellis, code_from_codewords, viterbi_decode
+n, b = int(sys.argv[1]), int(sys.argv[2])
+code = code_from_codewords([BitVector(n, 0), BitVector(n, (1 << n) - 1)], branch_bits=b)
+trellis = build_trellis(code)
+result = viterbi_decode(trellis, BitVector.from_string(sys.argv[3]))
+print(repr((trellis.sections, result.best_metric, [str(c) for c in result.best_codewords])))
+"""
 
 
 class TestViterbiDecode:
@@ -159,20 +234,24 @@ class TestViterbiDecode:
         assert result.best_metric == n // 2
         assert result.best_codewords == (BitVector(n, 0), bv("1" * n))
 
-
     @pytest.mark.parametrize("branch_bits", [20, 40])
     def test_wide_sections_on_few_codewords(self, branch_bits):
         # Two codewords in 2^20- or 2^40-label sections: the build and the
-        # decode work over the labels that occur, not over every label.
+        # decode work over the labels that occur, not over every label. Both
+        # run in a child process with 1 GB of address space, so a table over
+        # every label fails here with MemoryError, not by exhausting memory.
         n = 40
+        received = "1" * 25 + "0" * 15
+        child = subprocess.run([sys.executable, "-c", WIDE_SECTIONS, str(n), str(branch_bits), received],
+                               env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        sections, best_metric, best_codewords = ast.literal_eval(child.stdout)
         code = code_from_codewords([BitVector(n, 0), bv("1" * n)], branch_bits=branch_bits)
-        trellis = build_trellis(code)
-        assert path_count(trellis) == 2
-        r = bv("1" * 25 + "0" * 15)
-        result = viterbi_decode(trellis, r)
-        assert result == ml_brute_force(code, r)
-        assert result.best_metric == 15
-        assert result.best_codewords == (bv("1" * n),)
+        assert path_count(Trellis(code, branch_bits, sections)) == 2
+        result = ml_brute_force(code, bv(received))
+        assert (best_metric, best_codewords) == (result.best_metric, [str(c) for c in result.best_codewords])
+        assert best_metric == 15
+        assert best_codewords == ["1" * n]
 
     @pytest.mark.parametrize("branch_bits", [1, 2, 3, 6])
     def test_633_every_section_width(self, lbc_633, branch_bits):
@@ -180,6 +259,11 @@ class TestViterbiDecode:
         code = code_from_codewords(list(lbc_633.codespace), branch_bits=branch_bits)
         trellis = build_trellis(code)
         assert path_count(trellis) == 8
+        assert_blocks_are_the_predecessors(code, trellis)
+        if branch_bits >= 3:
+            # A section merges at least four branches into one state, so the
+            # forward pass takes two or more rounds of pairwise minima.
+            assert max(j for _, _, j in trellis.sections) >= 2
         for v in range(1 << code.n):
             r = BitVector(code.n, v)
             assert viterbi_decode(trellis, r) == ml_brute_force(code, r)
@@ -214,6 +298,10 @@ class TestGolay24:
     def test_branch_sets_are_the_codeword_triples(self, golay24):
         code, trellis = golay24
         assert_branch_sets_are_the_codeword_triples(code, trellis)
+
+    def test_each_end_states_predecessors_are_its_aligned_block(self, golay24):
+        code, trellis = golay24
+        assert_blocks_are_the_predecessors(code, trellis)
 
     def test_trellis_has_thousands_of_states(self, golay24):
         code, trellis = golay24
@@ -315,12 +403,13 @@ def test_random_codes_trellis_matches_brute_force(case):
     assert path_count(trellis) == 1 << code.k
     layers = node_layers(trellis)
     assert layers[0] == layers[-1] == (0,)
-    # Every branch starts where a branch of the previous section ends: the
-    # forward pass of viterbi_decode reads a metric for every ``frm``.
-    for t, branches in enumerate(trellis.branch_layers):
-        assert tuple(sorted({frm for frm, _, _ in branches})) == layers[t]
+    # Every branch starts at a position of the previous cut: the forward
+    # pass of viterbi_decode reads a metric for every ``froms`` entry.
+    for t, (froms, _, _) in enumerate(trellis.sections):
+        assert set(froms) == set(range(len(layers[t])))
     # The states at a cut are H times each codeword's bits before it, the
-    # first check row leading, and each layer's branches are exactly the
-    # codewords' triples.
+    # first check row leading, each section's branches are exactly the
+    # codewords' triples, and each end state's predecessors are its block.
     assert_branch_sets_are_the_codeword_triples(code, trellis)
+    assert_blocks_are_the_predecessors(code, trellis)
     assert decoded == [ml_brute_force(code, r) for r in received]
