@@ -15,17 +15,22 @@ every such operator. With W the unnormalised Walsh-Hadamard matrix
     H_M = W diag(lambda) W / 2^k,   lambda_t = sum_{mu in M} (-1)^popcount(t & mu),
 
 and lambda is the Walsh-Hadamard transform of M's indicator vector. One layer
-is then two transforms W and two diagonal phases on 2^k amplitudes. The dense
+is then W, the mixer phase, the inverse W / 2^k and the cost phase on 2^k
+amplitudes. The 1/2^k rides on the inverse, not on the phase: scaling by a
+power of two is exact, so either place gives the same bits. The dense
 simulator in ``statevector`` rotates the basis pairs of each X-mask in M over
 all 2^n amplitudes, O(|M| 2^n) a layer. The indicator of M is derived here
 from ``code.codewords`` and ``code.d``, not taken from that mixer, so the two
 simulators stay independent.
 
-W has two implementations, and each problem picks one by k. Up to
-``DENSE_WALSH_MAX_K`` it is one product with the +-1 Sylvester matrix, O(4^k)
-work in a single numpy call, the matrix built once per k on first use. Above
-it is the butterfly ``fwht``, O(k 2^k) work in k numpy stages, whose cost at
-these sizes is its per-stage call overhead. The product must stay on one
+W and its inverse have two implementations, and each problem picks one pair
+by k. Up to ``DENSE_WALSH_MAX_K`` each is one product with a matrix, the +-1
+Sylvester matrix or that matrix divided by 2^k, O(4^k) work in a single numpy
+call, the matrices built once per k on first use. The product is taken with
+``ndarray.dot``, which at these sizes costs less than ``@`` and gives the same
+bits. Above it W is the butterfly ``fwht``, O(k 2^k) work in k numpy stages,
+whose cost at these sizes is its per-stage call overhead, and the inverse runs
+the butterfly on its input times 2^-k. The product must stay on one
 thread: from k = 6 OpenBLAS runs a complex matrix-vector product on several
 threads, whose spin-waiting doubled the process's CPU time per decode request,
 and a run of such calls sometimes took ~15 ms each. So for k = 6 to 8 the
@@ -38,6 +43,16 @@ timed with ``timeit`` on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4, OpenBLAS
     butterfly        8-26   42-45  47-62  67-75    95   86-96  122-171  169-226
     complex product   3-4     4      4-5   ~15000 (two threads)
     real product      8-9     8      9     11-12  13-16  32-35  135-152 ~16000
+
+The products above were taken with ``@``. Timed again the same way, in one
+later sitting on a 2-vCPU Xeon VM with the same software, which ran faster,
+``ndarray.dot`` against ``@``:
+
+    k                 1-3       4        5        6        7        8
+    complex @        1.9-2.1   2.1      2.3-2.4
+    complex W.dot    1.2-1.3   1.3-1.4  1.6-1.7
+    real @           3.9-4.3   4.2      4.3-4.6  5.5-5.7  8.9-9.0  21.6-22.2
+    real w.dot       2.8-3.2   3.0-3.2  3.2-3.7  4.0-4.4  7.4-8.3  20.7-21.3
 
 The transforms agree to rounding: for a unit vector they differ by about 1e-16.
 
@@ -58,9 +73,17 @@ beta, or w * gamma halved, since halving is exact. A caller that holds a
 circuit's first layers fixed passes their output as ``start`` and applies only
 the layers that follow.
 
-``cost`` binds one optimizer draw's objective: the frozen prefix's output and,
-in sampled mode, the draw's generator, over ``probabilities`` and
-``expectation`` or ``expectation_sampled``, so there is one formula for each.
+At k <= 5 an evaluation is a few numpy calls on at most 32 amplitudes, so
+per-call overhead, not arithmetic, sets its cost. ``cost`` therefore compiles
+one optimizer draw's objective: it binds the frozen prefix's output and, in
+sampled mode, the shots and the draw's generator, and allocates once the work
+arrays that every evaluation reuses: the (2, 1) angle array, the scaled
+generators, the phases (whose rows are the mixer and cost phases) and the
+probabilities. An evaluation writes beta and gamma into the angle array and
+fills the others with ``out=`` ufunc calls. ``amplitudes``, ``probabilities``
+and the bound objective run one layer loop, ``_bind``; ``amplitudes`` and
+``probabilities`` bind fresh work arrays on every call, so an array they
+return is the caller's and no later evaluation writes to it.
 """
 from __future__ import annotations
 
@@ -87,7 +110,11 @@ def popcounts(values: np.ndarray) -> np.ndarray:
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform of a vector of length 2^k."""
-    out = values.copy()
+    return _butterfly(values.copy())
+
+
+def _butterfly(out: np.ndarray) -> np.ndarray:
+    """``fwht`` in place on ``out``, which it returns."""
     half = 1
     while half < out.size:
         pairs = out.reshape(-1, 2, half)
@@ -110,23 +137,33 @@ def walsh_matrix(k: int) -> np.ndarray:
 
 
 @functools.cache
-def walsh_transform(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The unnormalised Walsh-Hadamard transform of contiguous complex vectors of length 2^k.
+def walsh_transforms(k: int) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The unnormalised Walsh-Hadamard transform W of contiguous complex vectors of length 2^k, and W / 2^k.
 
-    One product with ``walsh_matrix(k)`` up to ``DENSE_WALSH_MAX_K``, complex up
-    to ``COMPLEX_PRODUCT_MAX_K`` and on the real view above it; the butterfly
-    ``fwht`` beyond. The module docstring gives the measurements.
+    W / 2^k is W's inverse. Up to ``DENSE_WALSH_MAX_K`` each is one product
+    with its matrix, complex up to ``COMPLEX_PRODUCT_MAX_K`` and on the real
+    view above it; beyond, W is the butterfly ``fwht``, and the inverse runs
+    the butterfly in place on the input times 2^-k, the pass that takes the
+    place of ``fwht``'s copy. A product with the real 2^-k is exact, and at
+    k = 11 it costs a quarter of a complex division by 2^k. The module
+    docstring gives the measurements.
     """
+    size = 1 << k
     if k > DENSE_WALSH_MAX_K:
-        return fwht
-    w = walsh_matrix(k)
+        scale = 1.0 / size
+        return fwht, lambda values: _butterfly(values * scale)
+    return _matrix_product(walsh_matrix(k), k), _matrix_product(walsh_matrix(k) / size, k)
+
+
+def _matrix_product(w: np.ndarray, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """values -> w . values for the 2^k x 2^k real matrix w, complex or on the real view by k."""
     if k <= COMPLEX_PRODUCT_MAX_K:
         complex_w = w.astype(np.complex128)
         complex_w.flags.writeable = False
-        return complex_w.__matmul__
+        return complex_w.dot
 
     def real_product(values: np.ndarray) -> np.ndarray:
-        return (w @ values.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+        return w.dot(values.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
     return real_product
 
@@ -138,7 +175,8 @@ class DecodeProblem:
     order; ``distances`` their Hamming distances to the received word;
     ``spectrum`` the mixer's eigenvalues in the Walsh-Hadamard basis;
     ``start`` the uniform superposition the circuit starts from (read only);
-    and ``transform`` the Walsh-Hadamard transform chosen for its size.
+    and ``transform`` and ``inverse`` the Walsh-Hadamard transform W and
+    W / 2^k chosen for its size.
     """
 
     def __init__(self, code: Code, received: BitVector):
@@ -158,7 +196,45 @@ class DecodeProblem:
         self._float_distances = self.distances.astype(np.float64)
         self.start = np.full(words.size, 1.0 / np.sqrt(words.size), dtype=np.complex128)
         self.start.flags.writeable = False
-        self.transform = walsh_transform(code.k)
+        self.transform, self.inverse = walsh_transforms(code.k)
+
+    def _bind(self, start: np.ndarray) -> tuple[Callable[..., np.ndarray], Callable[..., np.ndarray]]:
+        """The circuit on ``start`` with its own work arrays: ``(layers, probabilities)``.
+
+        ``layers(betas, gammas)`` applies the layers to ``start`` and returns
+        their output, a fresh array when there is a layer and ``start`` itself
+        when there is none. ``probabilities(betas, gammas)`` writes the
+        output's probabilities into the binding's buffer and returns it, so
+        the binding's next call overwrites them. The angle array is complex,
+        so the product with the generators needs no cast; its result is the
+        same to the bit as the product with real angles.
+        """
+        transform, inverse, generators = self.transform, self.inverse, self._phase_generators
+        angles = np.empty((2, 1), dtype=np.complex128)
+        scaled = np.empty_like(generators)
+        phases = np.empty_like(generators)
+        mixer_phase, cost_phase = phases
+        probs = np.empty(start.size)
+
+        def layers(betas: Sequence[float], gammas: Sequence[float]) -> np.ndarray:
+            psi = start
+            last = None
+            for beta, gamma in zip(betas, gammas):
+                if (beta, gamma) != last:
+                    last = beta, gamma
+                    angles[0, 0] = beta
+                    angles[1, 0] = gamma
+                    np.multiply(generators, angles, out=scaled)
+                    np.exp(scaled, out=phases)
+                psi = inverse(transform(psi) * mixer_phase)
+                psi *= cost_phase
+            return psi
+
+        def probabilities(betas: Sequence[float], gammas: Sequence[float]) -> np.ndarray:
+            np.abs(layers(betas, gammas), out=probs)
+            return np.square(probs, out=probs)
+
+        return layers, probabilities
 
     def amplitudes(
         self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
@@ -167,23 +243,16 @@ class DecodeProblem:
 
         The layers act on ``start``, the output of earlier layers, if it is
         given, else on the uniform start state; ``start`` is not modified.
+        The result is a fresh array.
         """
-        transform = self.transform
-        psi = self.start if start is None else start
-        angles = None
-        for beta, gamma in zip(betas, gammas):
-            if (beta, gamma) != angles:
-                angles = (beta, gamma)
-                phases = np.exp(self._phase_generators * ((beta,), (gamma,)))
-                mixer_phase, cost_phase = phases[0] / psi.size, phases[1]
-            psi = transform(transform(psi) * mixer_phase)
-            psi *= cost_phase
-        return psi.copy() if angles is None else psi
+        start = self.start if start is None else start
+        psi = self._bind(start)[0](betas, gammas)
+        return psi.copy() if psi is start else psi
 
     def probabilities(
         self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
     ) -> np.ndarray:
-        return np.abs(self.amplitudes(betas, gammas, start)) ** 2
+        return self._bind(self.start if start is None else start)[1](betas, gammas)
 
     def expectation(self, probs: np.ndarray) -> float:
         """Exact cost expectation: sum over codewords of prob * distance."""
@@ -206,18 +275,30 @@ class DecodeProblem:
         return int(np.dot(self.sample(probs, shots, seed), self.distances)) / shots
 
     def cost(
-        self, start: np.ndarray | None = None, shots: int = 0, rng: np.random.Generator | None = None
+        self, start: np.ndarray | None = None, *, shots: int | None = None, rng: np.random.Generator | None = None
     ) -> Callable[[Sequence[float], Sequence[float]], float]:
         """One optimizer draw's objective ``f(betas, gammas)``, the circuit's cost expectation.
 
-        The layers act on ``start`` as in ``amplitudes``. Without ``rng`` a
-        call returns ``expectation(probabilities(betas, gammas, start))``;
-        with it, ``expectation_sampled(..., shots, rng)``, every call taking
-        its shots from ``rng`` in call order.
+        The layers act on ``start`` as in ``amplitudes``, with work arrays of
+        the binding's own. Without ``shots`` and ``rng`` a call returns
+        ``expectation(probabilities(betas, gammas, start))``; with both,
+        ``expectation_sampled(..., shots, rng)``, every call taking its shots
+        from ``rng`` in call order. Giving only one of them is a ValueError.
         """
+        if (shots is None) != (rng is None):
+            raise ValueError("shots and rng are given together or not at all")
+        probabilities = self._bind(self.start if start is None else start)[1]
         if rng is None:
-            return lambda betas, gammas: self.expectation(self.probabilities(betas, gammas, start))
-        return lambda betas, gammas: self.expectation_sampled(self.probabilities(betas, gammas, start), shots, rng)
+            float_distances = self._float_distances
+            return lambda betas, gammas: float(probabilities(betas, gammas).dot(float_distances))
+        distances = self.distances
+
+        def sampled(betas: Sequence[float], gammas: Sequence[float]) -> float:
+            probs = probabilities(betas, gammas)
+            counts = rng.multinomial(shots, np.divide(probs, np.add.reduce(probs), out=probs))
+            return int(counts.dot(distances)) / shots
+
+        return sampled
 
     def bit_string(self, index: int) -> str:
         return format(int(self.codewords[index]), f"0{self.n}b")

@@ -58,8 +58,8 @@ MUTANTS = (
     Mutant(
         "phases_reused_by_beta_alone",
         "src/qviterbi/problem.py",
-        "            if (beta, gamma) != angles:\n",
-        "            if angles is None or beta != angles[0]:\n",
+        "                if (beta, gamma) != last:\n",
+        "                if last is None or beta != last[0]:\n",
         ("tests/test_problem.py::test_shared_phases_equal_per_layer_recomputation[betas2-gammas2]",),
     ),
     Mutant(
@@ -174,9 +174,53 @@ MUTANTS = (
     Mutant(
         "real_product_drops_imaginary_part",
         "src/qviterbi/problem.py",
-        "return (w @ values.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()",
-        "return (w @ values.view(np.float64).reshape(-1, 2) * [1.0, 0.0]).view(np.complex128).ravel()",
+        "return w.dot(values.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()",
+        "return (w.dot(values.view(np.float64).reshape(-1, 2)) * [1.0, 0.0]).view(np.complex128).ravel()",
         ("tests/test_problem.py::test_dense_transform_equals_butterfly[7]",),
+    ),
+    Mutant(
+        "dense_inverse_without_its_scale",
+        "src/qviterbi/problem.py",
+        "_matrix_product(walsh_matrix(k) / size, k)",
+        "_matrix_product(walsh_matrix(k), k)",
+        ("tests/test_problem.py::test_inverse_that_carries_the_scale_equals_the_divided_mixer_phase[complex_product]",
+         "tests/test_problem.py::test_inverse_that_carries_the_scale_equals_the_divided_mixer_phase[real_product]"),
+    ),
+    Mutant(
+        "butterfly_inverse_without_its_scale",
+        "src/qviterbi/problem.py",
+        "lambda values: _butterfly(values * scale)",
+        "lambda values: _butterfly(values.copy())",
+        ("tests/test_problem.py::test_inverse_that_carries_the_scale_equals_the_divided_mixer_phase[butterfly]",),
+    ),
+    Mutant(
+        "butterfly_transforms_its_input_in_place",
+        "src/qviterbi/problem.py",
+        "return fwht, lambda values:",
+        "return _butterfly, lambda values:",
+        ("tests/test_problem.py::test_bindings_leave_both_starts_unchanged[butterfly]",),
+    ),
+    Mutant(
+        "beta_written_into_the_cost_row",
+        "src/qviterbi/problem.py",
+        "angles[1, 0] = gamma",
+        "angles[1, 0] = beta",
+        ("tests/test_problem.py::test_shared_phases_equal_per_layer_recomputation[betas1-gammas1]",
+         "tests/test_problem.py::test_inverse_that_carries_the_scale_equals_the_divided_mixer_phase[complex_product]"),
+    ),
+    Mutant(
+        "probability_buffer_shared_by_all_bindings",
+        "src/qviterbi/problem.py",
+        "probs = np.empty(start.size)",
+        'probs = globals().setdefault("_probability_buffers", {}).setdefault(start.size, np.empty(start.size))',
+        ("tests/test_problem.py::test_returned_arrays_are_not_overwritten_by_later_evaluations",),
+    ),
+    Mutant(
+        "shots_without_rng_accepted",
+        "src/qviterbi/problem.py",
+        "if (shots is None) != (rng is None):",
+        "if shots is None and rng is not None:",
+        ("tests/test_problem.py::test_cost_takes_shots_and_rng_together",),
     ),
     Mutant(
         "nelder_mead_stable_sort",

@@ -190,6 +190,30 @@ class TestTrainUpo:
         with pytest.raises(ValueError, match="64"):
             train_upo(lbc_321, bv("011"), p=65, q=1, shots=10, seed=0)
 
+    def test_shot_limit_accepts_max_shots_and_rejects_one_more(self, lbc_321):
+        # A sampled evaluation sums shots * distance in int64.
+        assert engine.MAX_SHOTS == 1 << 32
+        result = train_upo(lbc_321, bv("011"), p=1, q=1, shots=engine.MAX_SHOTS, seed=0, mode="sampled")
+        assert result.shots == engine.MAX_SHOTS
+        assert sum(result.distribution.values()) == engine.MAX_SHOTS
+        assert 0.0 <= result.best_expectation <= lbc_321.n
+        with pytest.raises(ValueError, match=str(engine.MAX_SHOTS)):
+            train_upo(lbc_321, bv("011"), p=1, q=1, shots=engine.MAX_SHOTS + 1, seed=0, mode="sampled")
+
+    def test_a_sampled_draw_stops_at_maxiter(self, lbc_321, monkeypatch):
+        # Shot noise keeps this draw's simplex from meeting the tolerances, so it
+        # runs the whole iteration budget and is reported as not converged.
+        results = []
+
+        def recording_minimize(fun, x0, **options):
+            results.append(minimize(fun, x0, **options))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "minimize", recording_minimize)
+        result = train_upo(lbc_321, bv("011"), p=1, q=1, shots=256, seed=0, mode="sampled")
+        assert [(r.nit, r.success) for r in results] == [(300, False)]
+        assert not result.samples[0].converged
+
 
 class TestTrainFpo:
     def test_single_layer_matches_upo(self, lbc_633):
@@ -340,6 +364,24 @@ class TestLandscape:
             landscape_scan(lbc_321, bv("011"), p=1, grid=1)
         with pytest.raises(ValueError):
             landscape_scan(lbc_321, bv("011"), 0, 2)
+
+    def test_layer_limit_accepts_64_layers_and_rejects_65(self, lbc_321):
+        assert landscape_scan(lbc_321, bv("011"), p=64, grid=2).shape == (4, 3)
+        with pytest.raises(ValueError, match="64"):
+            landscape_scan(lbc_321, bv("011"), p=65, grid=2)
+
+    def test_grid_limit_accepts_2_and_rejects_1(self, lbc_321):
+        assert landscape_scan(lbc_321, bv("011"), p=1, grid=2).shape == (4, 3)
+        with pytest.raises(ValueError, match="grid"):
+            landscape_scan(lbc_321, bv("011"), p=1, grid=1)
+
+    def test_row_limit_accepts_grid_squared_at_the_cap_and_rejects_one_more(self, lbc_321, monkeypatch):
+        assert engine.MAX_LANDSCAPE_ROWS == 1 << 20
+        monkeypatch.setattr(engine, "MAX_LANDSCAPE_ROWS", 9)
+        assert landscape_scan(lbc_321, bv("011"), p=1, grid=3).shape == (9, 3)
+        monkeypatch.setattr(engine, "MAX_LANDSCAPE_ROWS", 8)
+        with pytest.raises(ValueError, match="9 rows"):
+            landscape_scan(lbc_321, bv("011"), p=1, grid=3)
 
 
 class TestSeedSplit:

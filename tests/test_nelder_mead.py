@@ -26,8 +26,10 @@ def objectives(code, mode, dims, seed):
     p = dims // 2
 
     def make():
-        rng = np.random.default_rng(child_seed(seed, _ROLE_EVAL, 0, 0)) if mode == "sampled" else None
-        cost = problem.cost(None, 200, rng)
+        if mode == "sampled":
+            cost = problem.cost(shots=200, rng=np.random.default_rng(child_seed(seed, _ROLE_EVAL, 0, 0)))
+        else:
+            cost = problem.cost()
         return lambda v: cost(v[:p], v[p:])
 
     return make(), make(), rng.uniform(0.0, TWO_PI, dims)

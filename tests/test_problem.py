@@ -22,7 +22,7 @@ from qviterbi import (
     train_upo,
 )
 from qviterbi.engine import TWO_PI
-from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transform
+from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transforms
 from conftest import BUILTIN_NAMES, bit_array, generators, reed_muller_1, span_words
 from reference import allclose_up_to_global_phase, extract_codeword_register, run_full_register
 
@@ -123,7 +123,7 @@ def test_compiled_cost_is_the_reference_composition(case, prefix_betas, prefix_g
     probs = problem.probabilities(betas, gammas, start)
     exact = problem.cost(start)(betas, gammas)
     assert exact == problem.expectation(probs) == float(np.dot(probs, problem.distances))
-    sampled = problem.cost(start, 64, np.random.default_rng(seed))
+    sampled = problem.cost(start, shots=64, rng=np.random.default_rng(seed))
     reference = np.random.default_rng(seed)
     for _ in range(3):
         assert sampled(betas, gammas) == problem.expectation_sampled(probs, 64, reference)
@@ -181,6 +181,115 @@ def test_wide_codes_match_dense(rows, nkd):
         assert_matches_dense(code, received, rng.uniform(0, TWO_PI, p), rng.uniform(0, TWO_PI, p))
 
 
+# One code on each transform path: the complex product (k <= 5), the product on
+# the real view (k = 6 to 8) and the butterfly (k > 8).
+PATH_CODES = {
+    "complex_product": ([[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 1, 0]], 3),  # lbc_633
+    "real_product": (cyclic_generator([1, 0, 0, 0, 1, 0, 1, 1, 1], 15), 7),  # BCH [15, 7, 5]
+    "butterfly": (cyclic_generator([1, 1, 0, 0, 1], 15), 11),  # Hamming [15, 11, 3]
+}
+
+
+def path_problem(path):
+    rows, k = PATH_CODES[path]
+    code = code_from_generator(Gf2Matrix.from_rows(rows))
+    assert code.k == k
+    rng = np.random.default_rng(k)
+    return DecodeProblem(code, BitVector(code.n, int(rng.integers(1 << code.n)))), rng
+
+
+@pytest.mark.parametrize("path", PATH_CODES)
+def test_bound_objective_is_the_reference_composition_on_every_path(path):
+    # Exact and sampled, with and without a frozen prefix, at uniform and at per-layer angles.
+    problem, rng = path_problem(path)
+    for p in (1, 2, 3):
+        for frozen in (0, 2):
+            for uniform in (True, False):
+                betas, gammas = (rng.uniform(0.0, TWO_PI, p + frozen).tolist() for _ in range(2))
+                if uniform:
+                    betas[frozen:], gammas[frozen:] = [betas[-1]] * p, [gammas[-1]] * p
+                start = problem.amplitudes(betas[:frozen], gammas[:frozen]) if frozen else None
+                betas, gammas = betas[frozen:], gammas[frozen:]
+                probs = problem.probabilities(betas, gammas, start)
+                assert problem.cost(start)(betas, gammas) == problem.expectation(probs)
+                seed = int(rng.integers(1 << 32))
+                sampled = problem.cost(start, shots=256, rng=np.random.default_rng(seed))
+                reference = np.random.default_rng(seed)
+                for _ in range(3):
+                    assert sampled(betas, gammas) == problem.expectation_sampled(probs, 256, reference)
+
+
+@pytest.mark.parametrize("path", PATH_CODES)
+def test_inverse_that_carries_the_scale_equals_the_divided_mixer_phase(path):
+    # Scaling by 2^-k is exact, so W / 2^k after the mixer phase gives the bits
+    # of W after the mixer phase divided by 2^k.
+    problem, rng = path_problem(path)
+    for p in (1, 3):
+        betas, gammas = rng.uniform(0.0, TWO_PI, p), rng.uniform(0.0, TWO_PI, p)
+        assert np.array_equal(problem.amplitudes(betas, gammas), per_layer_amplitudes(problem, betas, gammas))
+
+
+def binding(problem, start, mode, seed):
+    if mode == "exact":
+        return problem.cost(start)
+    return problem.cost(start, shots=64, rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_interleaved_bindings_return_what_each_returns_alone(mode, lbc_633):
+    problem = DecodeProblem(lbc_633, BitVector.from_string("111011"))
+    frozen = problem.amplitudes((0.9,), (2.6,))
+    points = [((0.3,), (1.2,)), ((2.0, 2.0, 2.0), (0.5, 0.5, 0.5)), ((4.1, 1.7), (5.9, 0.8))]
+    first, second = binding(problem, None, mode, 1), binding(problem, frozen, mode, 2)
+    first_alone = [first(*point) for point in points]
+    second_alone = [second(*point) for point in points]
+    first, second = binding(problem, None, mode, 1), binding(problem, frozen, mode, 2)
+    assert [(first(*point), second(*point)) for point in points] == list(zip(first_alone, second_alone))
+
+
+@pytest.mark.parametrize("path", PATH_CODES)
+def test_bindings_leave_both_starts_unchanged(path):
+    problem, _ = path_problem(path)
+    uniform = problem.start.copy()
+    frozen = problem.amplitudes((0.9,), (2.6,))
+    kept = frozen.copy()
+    for start in (None, frozen):
+        for mode in ("exact", "sampled"):
+            cost = binding(problem, start, mode, 3)
+            for point in [((), ()), ((0.3, 0.3), (1.2, 1.2)), ((1.1,), (0.2,))]:
+                cost(*point)
+    assert np.array_equal(problem.start, uniform)
+    assert np.array_equal(frozen, kept)
+
+
+def test_returned_arrays_are_not_overwritten_by_later_evaluations(lbc_633):
+    # At p = 1 the probabilities stay uniform (the mixer acts first, on its
+    # eigenvector), so the later evaluations here use two layers.
+    problem = DecodeProblem(lbc_633, BitVector.from_string("111011"))
+    returned = [
+        problem.amplitudes((), ()),
+        problem.amplitudes((0.3, 1.1), (1.2, 0.4)),
+        problem.probabilities((0.3, 1.1), (1.2, 0.4)),
+        problem.probabilities((), ()),
+    ]
+    kept = [a.copy() for a in returned]
+    for mode in ("exact", "sampled"):
+        binding(problem, None, mode, 4)((2.2, 0.5), (0.7, 1.9))
+    problem.amplitudes((1.0, 2.0), (1.0, 0.3))
+    assert not np.allclose(problem.probabilities((1.0, 2.0), (1.0, 0.3)), kept[3])
+    assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
+
+
+def test_cost_takes_shots_and_rng_together(lbc_633):
+    problem = DecodeProblem(lbc_633, BitVector.from_string("111011"))
+    with pytest.raises(ValueError, match="together"):
+        problem.cost(shots=64)
+    with pytest.raises(ValueError, match="together"):
+        problem.cost(rng=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        problem.cost(None, 64, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_codewords_follow_codespace_order(name, all_builtins):
     code = all_builtins[name]
@@ -230,16 +339,19 @@ def test_dense_transform_equals_butterfly(k):
     x = rng.normal(size=size) + 1j * rng.normal(size=size)
     x /= np.linalg.norm(x)
     assert np.max(np.abs(w @ x - fwht(x))) <= 1e-13
-    assert np.max(np.abs(walsh_transform(k)(x) - fwht(x))) <= 1e-13
-    assert (walsh_transform(k) is fwht) == (k > DENSE_WALSH_MAX_K)
+    transform, inverse = walsh_transforms(k)
+    assert np.max(np.abs(transform(x) - fwht(x))) <= 1e-13
+    assert np.max(np.abs(inverse(x) - fwht(x) / size)) <= 1e-13 / size
+    assert np.max(np.abs(inverse(transform(x)) - x)) <= 1e-13
+    assert (transform is fwht) == (k > DENSE_WALSH_MAX_K)
 
 
 def test_import_builds_no_walsh_matrix():
     # Nor does it import numpy.random, which costs 9-15 ms.
     code = (
         "import sys, qviterbi, qviterbi.cli\n"
-        "from qviterbi.problem import walsh_matrix, walsh_transform\n"
-        "print(walsh_matrix.cache_info().currsize, walsh_transform.cache_info().currsize,\n"
+        "from qviterbi.problem import walsh_matrix, walsh_transforms\n"
+        "print(walsh_matrix.cache_info().currsize, walsh_transforms.cache_info().currsize,\n"
         "      'numpy.random' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
