@@ -5,9 +5,10 @@ one int per minimum-weight codeword, and the Hamming-distance cost as a
 distance vector. It simulates the layered parameterized circuit exactly on
 the code's 2^k codespace, trains the circuit parameters, and validates every
 decoded result against a classical trellis decoder. One dense circuit ships
-besides the compiled one: the folded n-qubit statevector, which serves
-``--dump-state`` and the benchmark's re-score. Nothing in the package has a
-Pauli form: the 2n-qubit full-register gate circuit and the Pauli form of the
+besides the compiled one: the folded n-qubit statevector, which writes the
+codespace superposition directly and serves ``--dump-state`` and the
+benchmark's re-score. The package has no gates and no Pauli forms: the gates,
+the 2n-qubit full-register circuit built from them and the Pauli form of the
 cost are test references (``tests/reference.py``).
 
 ``import qviterbi`` loads ``codes``, ``errors`` and ``trellis`` at once: code
@@ -41,7 +42,6 @@ from .errors import (
     NotLinearError,
     QviterbiError,
     RankError,
-    StatePrepError,
 )
 from .trellis import DecodeResult, Trellis, build_trellis, ml_brute_force, viterbi_decode
 

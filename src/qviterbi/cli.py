@@ -51,17 +51,19 @@ def __getattr__(name: str):
 
 @dataclass
 class RunConfig:
+    """One command's settings. The parser holds every default; a setting the command has no option for is None."""
+
     code_source: str
     code: Code
     received: BitVector
-    p: int = 3
-    q: int = 5
-    shots: int = 2000
-    seed: int = 0
-    strategy: str = "upo"
-    mode: str = "exact"
-    out: str | None = None
-    dump_state: bool = False
+    p: int | None
+    q: int | None
+    shots: int | None
+    seed: int | None
+    strategy: str | None
+    mode: str | None
+    out: str | None
+    dump_state: bool | None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
@@ -69,11 +71,8 @@ class RunConfig:
         received = BitVector.from_string(args.received)
         if len(received) != code.n:
             raise ValueError(f"received vector has {len(received)} bits but the code has n = {code.n}")
-        cfg = cls(code_source=args.code, code=code, received=received)
-        for name in ("p", "q", "shots", "seed", "strategy", "mode", "out"):
-            if getattr(args, name, None) is not None:
-                setattr(cfg, name, getattr(args, name))
-        cfg.dump_state = bool(getattr(args, "dump_state", False))
+        settings = ("p", "q", "shots", "seed", "strategy", "mode", "out", "dump_state")
+        cfg = cls(args.code, code, received, **{name: getattr(args, name, None) for name in settings})
         if cfg.dump_state and (1 << code.n) > MAX_DUMP_ENTRIES:
             raise ValueError(f"state has {1 << code.n} entries; dump is limited to {MAX_DUMP_ENTRIES}")
         return cfg

@@ -25,11 +25,13 @@ measurement reads the ML optimum and its codewords off the problem's distance
 vector, which already holds every codeword's distance.
 
 ``run_pqc`` and the ``expectation_*`` functions run the same circuit on the
-folded n-qubit statevector of ``statevector``, with the mixer as its tuple of
-X-masks; no Pauli form of either generator exists in the package. It serves
+folded n-qubit statevector of ``statevector``, which writes the codespace
+superposition directly and takes the mixer as its tuple of X-masks; no gate
+and no Pauli form of either generator exists in the package. It serves
 ``--dump-state``, the benchmark re-scores reports with it
 (``perfbench/checks.py``), and the tests check the compiled problem against
-it. The 2n-qubit full-register circuit is a test reference
+it. The gates, the 2n-qubit full-register circuit and the plain expectation
+compositions the bound objective is checked against are test references
 (``tests/reference.py``). The ``statevector`` names imported here,
 ``minimize`` and ``trellis.ml_brute_force`` are looked up in this module
 because ``perfbench/spans.py`` wraps them here; ``ml_brute_force`` also stays
@@ -67,10 +69,6 @@ from .statevector import (
 from .trellis import ml_brute_force  # noqa: F401 - perfbench/spans.py wraps this name
 
 TWO_PI = 2.0 * math.pi
-
-# Nelder-Mead settings: derivative-free, bounded iteration budget, simplex
-# tolerances on parameters and cost.
-_NM_OPTIONS = {"maxiter": 300, "xatol": 1e-4, "fatol": 1e-6}
 
 # Most measurement shots: a sampled expectation sums shots * distance in int64,
 # and distances are at most n, so shots * n must stay below 2^63.
@@ -280,7 +278,7 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
                 cost = problem.cost(start, shots=shots, rng=rng)
             else:
                 cost = problem.cost(start)
-            res = minimize(lambda v: cost(*layers(v)), x0, **_NM_OPTIONS)
+            res = minimize(lambda v: cost(*layers(v)), x0)
             records.append(DrawRecord(params(x0), params(res.x).canonical(), res.fun, res.success))
         best = min(records, key=lambda rec: rec.expectation)
         prefix = best.final_params

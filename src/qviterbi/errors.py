@@ -20,6 +20,3 @@ class LengthError(QviterbiError):
 class EmptyMixerError(QviterbiError):
     """The code has no nonzero codewords, so no mixer terms exist."""
 
-
-class StatePrepError(QviterbiError):
-    """Generator matrix is not in a form usable for state preparation."""

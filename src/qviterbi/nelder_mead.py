@@ -72,6 +72,13 @@ import numpy as np
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
+# The trainers' budget and stopping rule: at most MAXITER iterations, and
+# stop once every vertex is within XATOL of the best in each coordinate and
+# within FATOL of its value.
+MAXITER = 300
+XATOL = 1e-4
+FATOL = 1e-6
+
 
 @dataclass(frozen=True)
 class NelderMeadResult:
@@ -92,8 +99,8 @@ def _by_value(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[floa
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadResult:
-    """Minimise ``fun`` from ``x0`` until the simplex is within both tolerances.
+def minimize(fun, x0) -> NelderMeadResult:
+    """Minimise ``fun`` from ``x0`` until the simplex is within both tolerances, or MAXITER iterations.
 
     ``fun`` receives each point as a list of floats, which it must not modify.
     """
@@ -118,10 +125,10 @@ def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadRes
         sim, fsim = _by_value(sim, fsim)
 
     iterations = 1
-    while iterations < maxiter:
+    while iterations < MAXITER:
         best = sim[0]
-        if (all(abs(v - b) <= xatol for vertex in sim[1:] for v, b in zip(vertex, best))
-                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+        if (all(abs(v - b) <= XATOL for vertex in sim[1:] for v, b in zip(vertex, best))
+                and all(abs(fsim[0] - fv) <= FATOL for fv in fsim[1:])):
             break
         xbar = best
         for vertex in sim[1:-1]:
@@ -156,4 +163,4 @@ def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> NelderMeadRes
         iterations += 1
         sim, fsim = _by_value(sim, fsim)
 
-    return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), iterations < maxiter, iterations, nfev)
+    return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), iterations < MAXITER, iterations, nfev)

@@ -254,10 +254,6 @@ class DecodeProblem:
     ) -> np.ndarray:
         return self._bind(self.start if start is None else start)[1](betas, gammas)
 
-    def expectation(self, probs: np.ndarray) -> float:
-        """Exact cost expectation: sum over codewords of prob * distance."""
-        return float(np.dot(probs, self._float_distances))
-
     def sample(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> np.ndarray:
         """Seeded multinomial counts over the codewords.
 
@@ -270,20 +266,17 @@ class DecodeProblem:
         rng = np.random.default_rng(seed)
         return rng.multinomial(shots, probs / probs.sum())
 
-    def expectation_sampled(self, probs: np.ndarray, shots: int, seed: int | np.random.Generator) -> float:
-        """Cost expectation estimated from a seeded finite-shot measurement."""
-        return int(np.dot(self.sample(probs, shots, seed), self.distances)) / shots
-
     def cost(
         self, start: np.ndarray | None = None, *, shots: int | None = None, rng: np.random.Generator | None = None
     ) -> Callable[[Sequence[float], Sequence[float]], float]:
         """One optimizer draw's objective ``f(betas, gammas)``, the circuit's cost expectation.
 
         The layers act on ``start`` as in ``amplitudes``, with work arrays of
-        the binding's own. Without ``shots`` and ``rng`` a call returns
-        ``expectation(probabilities(betas, gammas, start))``; with both,
-        ``expectation_sampled(..., shots, rng)``, every call taking its shots
-        from ``rng`` in call order. Giving only one of them is a ValueError.
+        the binding's own. Without ``shots`` and ``rng`` a call returns the
+        exact expectation, ``probabilities(betas, gammas, start)`` dotted with
+        the distances; with both, the mean distance of ``shots`` outcomes
+        drawn as ``sample`` draws them, every call taking its shots from
+        ``rng`` in call order. Giving only one of them is a ValueError.
         """
         if (shots is None) != (rng is None):
             raise ValueError("shots and rng are given together or not at all")

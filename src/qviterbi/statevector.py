@@ -2,24 +2,26 @@
 
 Training and measurement run on the compiled codespace simulator in
 ``problem``. This module simulates the same circuit on all 2^n basis states
-of the n codeword qubits, gate by gate for the codespace preparation and term
-by term for the mixer, and produces the ``--dump-state`` amplitudes. The
-benchmark re-scores reports with it (``perfbench/checks.py``), and the tests
-check the compiled simulator against it.
+of the n codeword qubits: it writes the codespace superposition directly and
+applies the mixer term by term, and it produces the ``--dump-state``
+amplitudes. The benchmark re-scores reports with it
+(``perfbench/checks.py``), and the tests check the compiled simulator
+against it.
 
 The mixer is a tuple of X-masks: each minimum-weight codeword, as an int,
 marks the qubits of one X-string. No Pauli form of the mixer or of the cost
 exists in the package. The received vector is a fixed basis state, so the Z
 operators of the cost's ancilla register reduce to known scalar phases and no
-ancilla qubits are simulated ("folded"). The 2n-qubit full-register circuit,
-with the literal CX / Rz / CX cost and the H / CX / Rz mixer chain, and the
-cost's Pauli form are test references in ``tests/reference.py``, where the
-folded circuit is checked against them.
+ancilla qubits are simulated ("folded"). The gates and the 2n-qubit
+full-register circuit built from them (the H / CX codespace preparation, the
+literal CX / Rz / CX cost and the H / CX / Rz mixer chain) and the cost's
+Pauli form are test references in ``tests/reference.py``, where the folded
+circuit is checked against them.
 
 Basis convention: amplitude index i encodes the bit string whose qubit q
 (0-based, leftmost printed bit first) is ``(i >> (num_qubits - 1 - q)) & 1``,
-so a codeword's int is also its X-mask. Gates mutate the state in place; a
-Statevector must not be shared mutably.
+so a codeword's int is also its X-mask. The unitaries mutate the state in
+place; a Statevector must not be shared mutably.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .codes import BitVector, Code
-from .errors import EmptyMixerError, LengthError, StatePrepError
+from .errors import EmptyMixerError, LengthError
 from .problem import popcounts
 
 MAX_QUBITS = 24
@@ -50,64 +52,18 @@ class Statevector:
             amplitudes = np.zeros(dim, dtype=np.complex128)
             amplitudes[0] = 1.0
         else:
-            # Contiguous, so the gates' reshaped views write through to it.
+            # Contiguous, so a reshaped view of it writes through to it.
             amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
             if amplitudes.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got {amplitudes.shape}")
         self.amplitudes = amplitudes
 
-    @classmethod
-    def basis(cls, num_qubits: int, index: int) -> Statevector:
-        sv = cls(num_qubits)
-        if index:
-            sv.amplitudes[0] = 0.0
-            sv.amplitudes[index] = 1.0
-        return sv
-
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
 
-    def copy(self) -> Statevector:
-        return Statevector(self.num_qubits, self.amplitudes.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def _mask(self, qubit: int) -> int:
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(f"qubit {qubit} out of range")
-        return 1 << (self.num_qubits - 1 - qubit)
-
-    def _split(self, qubit: int) -> np.ndarray:
-        """The amplitudes as a (2^qubit, 2, rest) view whose middle axis is ``qubit``'s bit.
-
-        Writing to the view writes to the state; no index array is built.
-        """
-        self._mask(qubit)
-        return self.amplitudes.reshape(1 << qubit, 2, -1)
-
-    def apply_h(self, qubit: int) -> None:
-        split = self._split(qubit)
-        lo, hi = split[:, 0], split[:, 1]
-        a0 = lo.copy()
-        lo[...] = _SQRT2_INV * (a0 + hi)
-        hi[...] = _SQRT2_INV * (a0 - hi)
-
-    def apply_cx(self, control: int, target: int) -> None:
-        cmask, tmask = self._mask(control), self._mask(target)
-        if cmask == tmask:
-            raise ValueError("CX needs two different qubits")
-        first, last = sorted((control, target))
-        split = self.amplitudes.reshape(1 << first, 2, 1 << (last - first - 1), 2, -1)
-        # The pairs with the control bit set, target bit 0 and 1.
-        if control < target:
-            lo, hi = split[:, 1, :, 0], split[:, 1, :, 1]
-        else:
-            lo, hi = split[:, 0, :, 1], split[:, 1, :, 1]
-        a0 = lo.copy()
-        lo[...] = hi
-        hi[...] = a0
 
     def to_json_entries(self) -> list[list[float]]:
         """Amplitude dump as [index, real, imag] rows."""
@@ -122,30 +78,18 @@ def distances_to(received: BitVector) -> np.ndarray:
     return popcounts(np.arange(1 << len(received)) ^ received.to_index())
 
 
-def _apply_codespace_prep(sv: Statevector, code: Code) -> None:
-    # Acts on qubits 0 .. n-1 of any register, so the full-register test
-    # reference prepares its codeword register with it too. Row reduction
-    # returns G itself exactly when G is in RREF with no zero rows.
-    reduced, pivots = code.generator.rref()
-    if reduced != code.generator:
-        raise StatePrepError("generator not in reduced row-echelon form")
-    for p in pivots:
-        sv.apply_h(p)
-    for row, pivot in zip(code.generator.words, pivots):
-        for i in range(code.n):
-            if (row >> (code.n - 1 - i)) & 1 and i != pivot:
-                sv.apply_cx(pivot, i)
-
-
 def prepare_uniform_codespace(code: Code) -> Statevector:
-    """Equal superposition of all codespace states, built from gates.
+    """Equal superposition of all codewords: one amplitude at each codeword's index, zeros elsewhere.
 
-    Hadamards go on the generator's pivot-column qubits; each generator row
-    then fans out from its pivot with CX gates, so the resulting amplitudes
-    are 2**(-k/2) on every codeword and zero elsewhere.
+    The amplitude is 1/sqrt(2) multiplied in k times, left to right, which is
+    the value the paper's preparation circuit leaves: one Hadamard on each
+    generator pivot qubit, then each row fanned out from its pivot with CX
+    gates. The closed forms round differently: ``2 ** (-k / 2)`` differs in
+    the last bit for every k >= 1, and ``_SQRT2_INV ** k`` at k = 6 and
+    k >= 9. Every zero is +0, as the gates leave it.
     """
     sv = Statevector(code.n)
-    _apply_codespace_prep(sv, code)
+    sv.amplitudes[list(code.codewords)] = math.prod([_SQRT2_INV] * code.k)
     return sv
 
 

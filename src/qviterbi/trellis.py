@@ -45,7 +45,6 @@ class Trellis:
     """
 
     code: Code
-    branch_bits: int
     sections: tuple[tuple[list[int], list[int], int], ...]
 
 
@@ -131,7 +130,7 @@ def build_trellis(code: Code) -> Trellis:
         m = len(splits)
         cut = [(x >> (r + b)) << m | 1 << (m - 1 - q) for q, x in enumerate(splits)]
         sections.append((span(positions), span([x & mask for x in basis]), len(merges)))
-    return Trellis(code, b, tuple(sections))
+    return Trellis(code, tuple(sections))
 
 
 def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
@@ -150,7 +149,7 @@ def viterbi_decode(trellis: Trellis, received: BitVector) -> DecodeResult:
     code = trellis.code
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
-    b = trellis.branch_bits
+    b = code.branch_bits
     r = received.to_index()
     mask = (1 << b) - 1
 

@@ -53,6 +53,12 @@ def reed_muller_1(m):
     return [[1] * (1 << m)] + [[(x >> b) & 1 for x in points] for b in range(m)]
 
 
+def cyclic_generator(poly, n):
+    """Generator rows of the length-n cyclic code of ``poly``: its shifts, lowest degree first."""
+    r = len(poly) - 1
+    return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
+
+
 def _rank(rows):
     return Gf2Matrix.from_rows(rows).rref()[0].rows
 

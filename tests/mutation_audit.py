@@ -119,10 +119,10 @@ MUTANTS = (
     Mutant(
         "trellis_drops_one_branch",
         "src/qviterbi/trellis.py",
-        "    return Trellis(code, b, tuple(sections))\n",
+        "    return Trellis(code, tuple(sections))\n",
         "    froms, labels, j = sections[-1]\n"
         "    sections[-1] = (froms[:-1], labels[:-1], j)\n"
-        "    return Trellis(code, b, tuple(sections))\n",
+        "    return Trellis(code, tuple(sections))\n",
         ("tests/test_trellis.py::TestBuildTrellis::test_path_count_is_codespace_size[lbc_633]",),
     ),
     Mutant(
@@ -237,11 +237,18 @@ MUTANTS = (
         ("tests/test_engine.py::test_every_draw_starts_from_its_own_seed[train_fpo-exact]",),
     ),
     Mutant(
-        "rref_guard_removed",
+        "codespace_amplitude_in_closed_form",
         "src/qviterbi/statevector.py",
-        "    if reduced != code.generator:\n",
-        "    if False:\n",
-        ("tests/test_statevector.py::TestStatePreparation::test_non_rref_generator_rejected[zero_row]",),
+        "math.prod([_SQRT2_INV] * code.k)",
+        "2 ** (-code.k / 2)",
+        ("tests/test_statevector.py::TestStatePreparation::test_prepared_state_is_the_gate_built_state_byte_for_byte[lbc_321]",),
+    ),
+    Mutant(
+        "codespace_amplitude_as_a_power",
+        "src/qviterbi/statevector.py",
+        "math.prod([_SQRT2_INV] * code.k)",
+        "_SQRT2_INV ** code.k",
+        ("tests/test_statevector.py::TestStatePreparation::test_prepared_state_is_the_gate_built_state_byte_for_byte[hamming_15_11]",),
     ),
     Mutant(
         "mixer_rotation_in_one_expression",

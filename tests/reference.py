@@ -1,14 +1,19 @@
-"""Test references for the decoder circuit: the 2n-qubit full register and the Pauli cost.
+"""Test references for the decoder circuit: gates, the 2n-qubit full register and the Pauli cost.
 
 The package ships one dense circuit, the folded n-qubit statevector of
-``qviterbi.statevector``. This module builds the circuit the paper draws, on
-a codeword register (qubits 0 .. n-1) and an ancilla register holding the
-received word (qubits n .. 2n-1), gate by gate: the cost is a CX - Rz(-gamma)
-- CX sandwich on each codeword/ancilla pair and each mixer term, an X-mask
-over the codeword register, a Hadamard-conjugated CX chain around one Rz. It
-also holds the Pauli form of the cost, Z_i Z_(n+i) terms as (coefficient,
-Z-mask) pairs whose eigenvalue is the Hamming distance between the registers,
-and the Fourier expansion of the XOR clause it comes from.
+``qviterbi.statevector``, which writes its codespace superposition directly.
+This module holds the gates (H, X, CX, Rz) as functions on a ``Statevector``
+and builds from them the circuit the paper draws, on a codeword register
+(qubits 0 .. n-1) and an ancilla register holding the received word (qubits
+n .. 2n-1): the codespace preparation, Hadamards on the generator's pivot
+qubits and a CX fan-out of each row; the cost, a CX - Rz(-gamma) - CX
+sandwich on each codeword/ancilla pair; and each mixer term, an X-mask over
+the codeword register, a Hadamard-conjugated CX chain around one Rz. It also
+holds the Pauli form of the cost, Z_i Z_(n+i) terms as (coefficient, Z-mask)
+pairs whose eigenvalue is the Hamming distance between the registers, the
+Fourier expansion of the XOR clause it comes from, and the plain
+compositions of a compiled problem's probabilities into an exact or a sampled
+cost expectation.
 
 The tests check the folded circuit and the compiled codespace simulator
 against these. Its name does not start with ``test_``, so pytest does not
@@ -16,6 +21,7 @@ collect it; test modules import it as ``reference``.
 """
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -28,19 +34,89 @@ from qviterbi import (
     Statevector,
     build_mixer_hamiltonian,
 )
-from qviterbi.statevector import _apply_codespace_prep
+from qviterbi.problem import DecodeProblem
+
+SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+def basis_state(num_qubits: int, index: int) -> Statevector:
+    """The computational basis state |index> on ``num_qubits`` qubits."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return Statevector(num_qubits, amps)
+
+
+def _check(sv: Statevector, qubit: int) -> None:
+    if not 0 <= qubit < sv.num_qubits:
+        raise ValueError(f"qubit {qubit} out of range")
+
+
+def _split(sv: Statevector, qubit: int) -> np.ndarray:
+    """The amplitudes as a (2^qubit, 2, rest) view whose middle axis is ``qubit``'s bit.
+
+    Writing to the view writes to the state; no index array is built.
+    """
+    _check(sv, qubit)
+    return sv.amplitudes.reshape(1 << qubit, 2, -1)
+
+
+def apply_h(sv: Statevector, qubit: int) -> None:
+    """Hadamard on ``qubit``, in place."""
+    split = _split(sv, qubit)
+    lo, hi = split[:, 0], split[:, 1]
+    a0 = lo.copy()
+    lo[...] = SQRT2_INV * (a0 + hi)
+    hi[...] = SQRT2_INV * (a0 - hi)
+
+
+def apply_cx(sv: Statevector, control: int, target: int) -> None:
+    """CX from ``control`` to ``target``, in place: the target's pairs swap where the control bit is 1."""
+    _check(sv, control)
+    _check(sv, target)
+    if control == target:
+        raise ValueError("CX needs two different qubits")
+    first, last = sorted((control, target))
+    split = sv.amplitudes.reshape(1 << first, 2, 1 << (last - first - 1), 2, -1)
+    # The pairs with the control bit set, target bit 0 and 1.
+    if control < target:
+        lo, hi = split[:, 1, :, 0], split[:, 1, :, 1]
+    else:
+        lo, hi = split[:, 0, :, 1], split[:, 1, :, 1]
+    a0 = lo.copy()
+    lo[...] = hi
+    hi[...] = a0
 
 
 def apply_x(sv: Statevector, qubit: int) -> None:
     """Pauli X on ``qubit``, in place: amplitude i moves to i with that bit flipped."""
-    split = sv._split(qubit)
+    split = _split(sv, qubit)
     split[...] = split[:, ::-1].copy()
 
 
 def apply_rz(sv: Statevector, theta: float, qubit: int) -> None:
     """Rz(theta) = diag(exp(-i theta/2), exp(+i theta/2)) on ``qubit``, in place."""
-    split = sv._split(qubit)
+    split = _split(sv, qubit)
     split *= np.exp(1j * theta * np.array([[-0.5], [0.5]]))
+
+
+def apply_codespace_prep(sv: Statevector, code: Code) -> None:
+    """The codespace preparation circuit on qubits 0 .. n-1 of ``sv``, which starts in |0>.
+
+    Hadamards go on the generator's pivot-column qubits; each generator row
+    then fans out from its pivot with CX gates, leaving every codeword at
+    amplitude 2^(-k/2). The circuit is right only for a generator in RREF with
+    no zero rows, which row reduction returns unchanged; any other generator
+    is a ValueError.
+    """
+    reduced, pivots = code.generator.rref()
+    if reduced != code.generator:
+        raise ValueError("generator not in reduced row-echelon form")
+    for p in pivots:
+        apply_h(sv, p)
+    for row, pivot in zip(code.generator.words, pivots):
+        for i in range(code.n):
+            if (row >> (code.n - 1 - i)) & 1 and i != pivot:
+                apply_cx(sv, pivot, i)
 
 
 def prepare_full_register(code: Code, received: BitVector) -> Statevector:
@@ -52,7 +128,7 @@ def prepare_full_register(code: Code, received: BitVector) -> Statevector:
     if len(received) != code.n:
         raise LengthError(f"received length {len(received)} != n = {code.n}")
     sv = Statevector(2 * code.n)
-    _apply_codespace_prep(sv, code)
+    apply_codespace_prep(sv, code)
     for i, bit in enumerate(str(received)):
         if bit == "1":
             apply_x(sv, code.n + i)
@@ -69,9 +145,9 @@ def apply_full_cost_unitary(sv: Statevector, gamma: float, received: BitVector) 
     if sv.num_qubits != 2 * n:
         raise LengthError(f"full register needs {2 * n} qubits, state has {sv.num_qubits}")
     for i in range(n):
-        sv.apply_cx(i, n + i)
+        apply_cx(sv, i, n + i)
         apply_rz(sv, -gamma, n + i)
-        sv.apply_cx(i, n + i)
+        apply_cx(sv, i, n + i)
     return sv
 
 
@@ -85,14 +161,14 @@ def apply_mixer_gates(sv: Statevector, beta: float, mixer: tuple[int, ...], n: i
     for mask in mixer:
         qubits = [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
         for q in qubits:
-            sv.apply_h(q)
+            apply_h(sv, q)
         for a, b in zip(qubits, qubits[1:]):
-            sv.apply_cx(a, b)
+            apply_cx(sv, a, b)
         apply_rz(sv, 2.0 * beta, qubits[-1])
         for a, b in reversed(list(zip(qubits, qubits[1:]))):
-            sv.apply_cx(a, b)
+            apply_cx(sv, a, b)
         for q in qubits:
-            sv.apply_h(q)
+            apply_h(sv, q)
     return sv
 
 
@@ -188,3 +264,14 @@ def fourier_expand_xor(output_range: str = "pm1") -> dict[tuple[int, ...], float
         coeffs = {m: v / 2.0 for m, v in coeffs.items()}
         coeffs[()] += 0.5
     return coeffs
+
+
+def problem_expectation(problem: DecodeProblem, probs: np.ndarray) -> float:
+    """Exact cost expectation: sum over codewords of prob * distance."""
+    return float(np.dot(probs, problem.distances.astype(np.float64)))
+
+
+def problem_expectation_sampled(problem: DecodeProblem, probs: np.ndarray, shots: int,
+                                seed: int | np.random.Generator) -> float:
+    """Cost expectation estimated from ``problem.sample``'s seeded finite-shot counts."""
+    return int(np.dot(problem.sample(probs, shots, seed), problem.distances)) / shots

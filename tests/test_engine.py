@@ -22,7 +22,14 @@ from qviterbi.engine import _ROLE_EVAL, _ROLE_INIT, _ROLE_MEASURE, TWO_PI, child
 from qviterbi.nelder_mead import minimize
 from qviterbi.problem import DecodeProblem
 from conftest import BUILTIN_NAMES
-from reference import allclose_up_to_global_phase, extract_codeword_register, run_full_register
+from reference import (
+    allclose_up_to_global_phase,
+    basis_state,
+    extract_codeword_register,
+    problem_expectation,
+    problem_expectation_sampled,
+    run_full_register,
+)
 
 
 def bv(s):
@@ -98,15 +105,11 @@ class TestExpectations:
         assert expectation_exact(sv, bv("111011")) == pytest.approx(3.0)
 
     def test_basis_state_zero_distance(self):
-        from qviterbi import Statevector
-
-        sv = Statevector.basis(4, bv("1010").to_index())
+        sv = basis_state(4, bv("1010").to_index())
         assert expectation_exact(sv, bv("1010")) == 0.0
 
     def test_sampled_deterministic_on_basis_state(self):
-        from qviterbi import Statevector
-
-        sv = Statevector.basis(4, bv("1010").to_index())
+        sv = basis_state(4, bv("1010").to_index())
         assert expectation_sampled(sv, bv("0010"), shots=50, seed=3) == 1.0
 
     def test_sampled_close_to_exact(self, lbc_633):
@@ -205,8 +208,8 @@ class TestTrainUpo:
         # runs the whole iteration budget and is reported as not converged.
         results = []
 
-        def recording_minimize(fun, x0, **options):
-            results.append(minimize(fun, x0, **options))
+        def recording_minimize(fun, x0):
+            results.append(minimize(fun, x0))
             return results[-1]
 
         monkeypatch.setattr(engine, "minimize", recording_minimize)
@@ -396,7 +399,7 @@ class TestSeedSplit:
         r, p, q, shots, seed = bv("111011"), 2, 2, 200, 2**64 + 3
         draws = []
 
-        def recording_minimize(fun, x0, **options):
+        def recording_minimize(fun, x0):
             evaluations = []
             draws.append(evaluations)
 
@@ -405,7 +408,7 @@ class TestSeedSplit:
                 evaluations.append((v.copy(), value))
                 return value
 
-            return minimize(recorded, x0, **options)
+            return minimize(recorded, x0)
 
         monkeypatch.setattr(engine, "minimize", recording_minimize)
         result = trainer(lbc_633, r, p=p, q=q, shots=shots, seed=seed, mode="sampled")
@@ -425,7 +428,7 @@ class TestSeedSplit:
             for v, value in evaluations:
                 betas, gammas = layers(v)
                 probs = problem.probabilities(prefix_b + tuple(betas), prefix_g + tuple(gammas))
-                assert value == problem.expectation_sampled(probs, shots, g)
+                assert value == problem_expectation_sampled(problem, probs, shots, g)
 
     @pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
     def test_draw_noise_does_not_depend_on_other_draws(self, trainer, lbc_633, monkeypatch):
@@ -435,8 +438,8 @@ class TestSeedSplit:
         args = dict(code=lbc_633, received=bv("111011"), p=2, q=3, shots=200, seed=5, mode="sampled")
         plain = trainer(**args)
 
-        def wasteful_minimize(fun, x0, **options):
-            res = minimize(fun, x0, **options)
+        def wasteful_minimize(fun, x0):
+            res = minimize(fun, x0)
             for _ in range(7):
                 fun(x0)
             return res
@@ -446,7 +449,7 @@ class TestSeedSplit:
 
     def test_exact_mode_builds_no_generator(self, lbc_633, monkeypatch):
         problem = DecodeProblem(lbc_633, bv("111011"))
-        assert problem.cost()((0.4,), (2.1,)) == problem.expectation(problem.probabilities((0.4,), (2.1,)))
+        assert problem.cost()((0.4,), (2.1,)) == problem_expectation(problem, problem.probabilities((0.4,), (2.1,)))
         seeds = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(s) or default_rng(s))

@@ -18,7 +18,7 @@ EXPORTS = {
               "code_from_generator", "code_from_json", "load_code"],
     "engine": ["QaoaParams", "TrainingResult", "expectation_exact", "expectation_sampled", "landscape_scan",
                "run_pqc", "train_fpo", "train_random", "train_upo"],
-    "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError", "StatePrepError"],
+    "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError"],
     "statevector": ["Statevector", "apply_cost_unitary", "apply_mixer_unitary", "build_mixer_hamiltonian",
                     "measure_counts", "prepare_uniform_codespace"],
     "trellis": ["DecodeResult", "Trellis", "build_trellis", "ml_brute_force", "viterbi_decode"],

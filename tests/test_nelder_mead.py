@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from qviterbi import BitVector
-from qviterbi.engine import _NM_OPTIONS, _ROLE_EVAL, TWO_PI, child_seed
-from qviterbi.nelder_mead import minimize
+from qviterbi.engine import _ROLE_EVAL, TWO_PI, child_seed
+from qviterbi.nelder_mead import FATOL, MAXITER, XATOL, minimize
 from qviterbi.problem import DecodeProblem
 from conftest import BUILTIN_NAMES
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
+
+# The settings the port fixes, as SciPy takes them.
+OPTIONS = {"maxiter": MAXITER, "xatol": XATOL, "fatol": FATOL}
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -42,8 +45,8 @@ def test_matches_scipy_bit_for_bit(all_builtins):
             for dims in (2, 6):
                 for seed in range(2):
                     ours_fn, ref_fn, x0 = objectives(all_builtins[name], mode, dims, seed)
-                    ours = minimize(ours_fn, x0, **_NM_OPTIONS)
-                    ref = scipy_optimize.minimize(ref_fn, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+                    ours = minimize(ours_fn, x0)
+                    ref = scipy_optimize.minimize(ref_fn, x0, method="Nelder-Mead", options=OPTIONS)
                     case = (name, mode, dims, seed)
                     assert np.array_equal(ours.x, ref.x), case
                     assert ours.fun == ref.fun, case
@@ -57,8 +60,8 @@ def test_matches_scipy_on_a_quadratic():
         return float(np.sum((v - np.array([1.0, -2.0, 0.0])) ** 2))
 
     x0 = np.array([0.3, 0.0, -1.1])
-    ours = minimize(bowl, x0, **_NM_OPTIONS)
-    ref = scipy_optimize.minimize(bowl, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    ours = minimize(bowl, x0)
+    ref = scipy_optimize.minimize(bowl, x0, method="Nelder-Mead", options=OPTIONS)
     assert ours.success and np.array_equal(ours.x, ref.x)
     assert (ours.fun, ours.nit, ours.nfev) == (ref.fun, ref.nit, ref.nfev)
 
@@ -81,10 +84,24 @@ def staircase(v):
     (staircase, [0.3, 1.2, 4.0, 0.0, 5.5, 2.2]),
 ])
 def test_matches_scipy_on_exact_ties(fun, x0):
-    ours = minimize(fun, x0, **_NM_OPTIONS)
-    ref = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    ours = minimize(fun, x0)
+    ref = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=OPTIONS)
     assert np.array_equal(ours.x, ref.x)
     assert (ours.fun, ours.success, ours.nit, ours.nfev) == (ref.fun, ref.success, ref.nit, ref.nfev)
+
+
+@pytest.mark.parametrize("fun,x0,nit", [
+    # The start simplex is within XATOL and its values exactly FATOL apart: it stops at once.
+    (lambda v: 0.0 if v[0] == 0.001 else FATOL, [0.001], 1),
+    # Steep, in one dimension: the simplex is within XATOL long before its values are within FATOL.
+    (lambda v: 1e6 * abs(v[0] - 0.3), [1.1], None),
+])
+def test_matches_scipy_at_the_stopping_rule(fun, x0, nit):
+    ours = minimize(fun, x0)
+    ref = scipy_optimize.minimize(fun, x0, method="Nelder-Mead", options=OPTIONS)
+    assert np.array_equal(ours.x, ref.x)
+    assert (ours.fun, ours.success, ours.nit, ours.nfev) == (ref.fun, ref.success, ref.nit, ref.nfev)
+    assert nit is None or ref.nit == nit
 
 
 def test_import_loads_no_scipy():

@@ -23,8 +23,14 @@ from qviterbi import (
 )
 from qviterbi.engine import TWO_PI
 from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transforms
-from conftest import BUILTIN_NAMES, bit_array, generators, reed_muller_1, span_words
-from reference import allclose_up_to_global_phase, extract_codeword_register, run_full_register
+from conftest import BUILTIN_NAMES, bit_array, cyclic_generator, generators, reed_muller_1, span_words
+from reference import (
+    allclose_up_to_global_phase,
+    extract_codeword_register,
+    problem_expectation,
+    problem_expectation_sampled,
+    run_full_register,
+)
 
 
 def scattered(problem, betas, gammas):
@@ -106,8 +112,8 @@ def test_expectation_is_invariant_under_a_coordinate_permutation(case, data):
     moved = BitVector.from_string("".join(str(received)[q] for q in perm))
     original = DecodeProblem(code, received)
     relabelled = DecodeProblem(permuted, moved)
-    expected = original.expectation(original.probabilities(betas, gammas))
-    assert abs(relabelled.expectation(relabelled.probabilities(betas, gammas)) - expected) <= 1e-12
+    expected = problem_expectation(original, original.probabilities(betas, gammas))
+    assert abs(problem_expectation(relabelled, relabelled.probabilities(betas, gammas)) - expected) <= 1e-12
 
 
 angles = st.lists(st.floats(0.0, TWO_PI, allow_nan=False), min_size=1, max_size=2)
@@ -122,11 +128,11 @@ def test_compiled_cost_is_the_reference_composition(case, prefix_betas, prefix_g
     start = problem.amplitudes(prefix_betas, prefix_gammas)
     probs = problem.probabilities(betas, gammas, start)
     exact = problem.cost(start)(betas, gammas)
-    assert exact == problem.expectation(probs) == float(np.dot(probs, problem.distances))
+    assert exact == problem_expectation(problem, probs) == float(np.dot(probs, problem.distances))
     sampled = problem.cost(start, shots=64, rng=np.random.default_rng(seed))
     reference = np.random.default_rng(seed)
     for _ in range(3):
-        assert sampled(betas, gammas) == problem.expectation_sampled(probs, 64, reference)
+        assert sampled(betas, gammas) == problem_expectation_sampled(problem, probs, 64, reference)
 
 
 def per_layer_amplitudes(problem, betas, gammas):
@@ -159,11 +165,6 @@ def test_start_state_is_left_unchanged(lbc_633):
     problem.amplitudes((0.3, 0.3), (1.2, 1.2))
     assert np.array_equal(problem.start, before)
     assert np.array_equal(problem.start, per_layer_amplitudes(problem, (), ()))
-
-
-def cyclic_generator(poly, n):
-    r = len(poly) - 1
-    return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
 
 
 @pytest.mark.parametrize("rows,nkd", [
@@ -211,12 +212,12 @@ def test_bound_objective_is_the_reference_composition_on_every_path(path):
                 start = problem.amplitudes(betas[:frozen], gammas[:frozen]) if frozen else None
                 betas, gammas = betas[frozen:], gammas[frozen:]
                 probs = problem.probabilities(betas, gammas, start)
-                assert problem.cost(start)(betas, gammas) == problem.expectation(probs)
+                assert problem.cost(start)(betas, gammas) == problem_expectation(problem, probs)
                 seed = int(rng.integers(1 << 32))
                 sampled = problem.cost(start, shots=256, rng=np.random.default_rng(seed))
                 reference = np.random.default_rng(seed)
                 for _ in range(3):
-                    assert sampled(betas, gammas) == problem.expectation_sampled(probs, 256, reference)
+                    assert sampled(betas, gammas) == problem_expectation_sampled(problem, probs, 256, reference)
 
 
 @pytest.mark.parametrize("path", PATH_CODES)

@@ -2,28 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qviterbi import (
     BitVector,
     Code,
     Gf2Matrix,
-    StatePrepError,
     Statevector,
     apply_cost_unitary,
     apply_mixer_unitary,
     build_mixer_hamiltonian,
+    builtin_code,
     code_from_codewords,
+    code_from_generator,
     measure_counts,
     prepare_uniform_codespace,
 )
-from qviterbi.statevector import _SQRT2_INV
-from conftest import BUILTIN_NAMES, CODESPACE_633, CODESPACE_CONV
+from conftest import (
+    BUILTIN_NAMES,
+    CODESPACE_633,
+    CODESPACE_CONV,
+    cyclic_generator,
+    generators,
+    reed_muller_1,
+    span_words,
+)
 from reference import (
+    SQRT2_INV,
     allclose_up_to_global_phase,
+    apply_codespace_prep,
+    apply_cx,
     apply_full_cost_unitary,
+    apply_h,
     apply_mixer_gates,
     apply_rz,
     apply_x,
+    basis_state,
     extract_codeword_register,
     prepare_full_register,
 )
@@ -65,11 +80,14 @@ class TestStatevectorBasics:
         sv = Statevector(1)
         apply_rz(sv, theta, 0)
         assert sv.amplitudes[0] == pytest.approx(np.exp(-1j * theta / 2))
-        sv = Statevector.basis(1, 1)
+        sv = basis_state(1, 1)
         apply_rz(sv, theta, 0)
         assert sv.amplitudes[1] == pytest.approx(np.exp(1j * theta / 2))
 
     def test_qubit_limit(self):
+        # np.zeros asks the OS for zeroed pages, so of the 256 MB only the
+        # page holding amplitude 0 is written.
+        assert Statevector(24).dim == 1 << 24
         with pytest.raises(ValueError):
             Statevector(25)
 
@@ -80,7 +98,7 @@ class TestStatevectorBasics:
             gate = rng.integers(0, 4)
             q = int(rng.integers(0, 5))
             if gate == 0:
-                sv.apply_h(q)
+                apply_h(sv, q)
             elif gate == 1:
                 apply_x(sv, q)
             elif gate == 2:
@@ -88,7 +106,7 @@ class TestStatevectorBasics:
             else:
                 t = int(rng.integers(0, 5))
                 if t != q:
-                    sv.apply_cx(q, t)
+                    apply_cx(sv, q, t)
         assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
 
     def test_gates_match_index_array_forms_bit_for_bit(self):
@@ -98,7 +116,7 @@ class TestStatevectorBasics:
             idx = np.arange(1 << n)
             lo = idx[(idx & mask) == 0]
             a0, a1 = a[lo], a[lo | mask]
-            a[lo], a[lo | mask] = _SQRT2_INV * (a0 + a1), _SQRT2_INV * (a0 - a1)
+            a[lo], a[lo | mask] = SQRT2_INV * (a0 + a1), SQRT2_INV * (a0 - a1)
 
         def cx(a, n, c, t):
             idx = np.arange(1 << n)
@@ -121,7 +139,7 @@ class TestStatevectorBasics:
                 gate = int(rng.integers(4 if n > 1 else 3))
                 if gate == 0:
                     h(ref, n, q)
-                    sv.apply_h(q)
+                    apply_h(sv, q)
                 elif gate == 1:
                     x(ref, n, q)
                     apply_x(sv, q)
@@ -132,29 +150,68 @@ class TestStatevectorBasics:
                 else:
                     t = (q + 1 + int(rng.integers(n - 1))) % n
                     cx(ref, n, q, t)
-                    sv.apply_cx(q, t)
+                    apply_cx(sv, q, t)
                 assert sv.amplitudes.tobytes() == ref.tobytes()
 
     def test_cx_needs_two_qubits(self):
         with pytest.raises(ValueError):
-            Statevector(2).apply_cx(1, 1)
+            apply_cx(Statevector(2), 1, 1)
 
     def test_gates_act_on_a_strided_input(self):
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
         sv = Statevector(2, amps[::2])
-        sv.apply_h(0)
-        sv.apply_cx(0, 1)
-        assert np.allclose(sv.amplitudes, [_SQRT2_INV, 0, 0, _SQRT2_INV])
+        apply_h(sv, 0)
+        apply_cx(sv, 0, 1)
+        assert np.allclose(sv.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV])
 
     def test_json_entries(self):
-        sv = Statevector.basis(2, 2)
+        sv = basis_state(2, 2)
         entries = sv.to_json_entries()
         assert entries[2] == [2, 1.0, 0.0]
         assert len(entries) == 4
 
 
+# Codes beyond the built-ins, as generator rows and their (n, k).
+NAMED_CODES = {
+    "hamming_7_4": (cyclic_generator([1, 1, 0, 1], 7), (7, 4)),  # 1 + x + x^3
+    "bch_15_7": (cyclic_generator([1, 0, 0, 0, 1, 0, 1, 1, 1], 15), (15, 7)),  # 1 + x^4 + x^6 + x^7 + x^8
+    "rm_16_5": (reed_muller_1(4), (16, 5)),
+    "hamming_15_11": (cyclic_generator([1, 1, 0, 0, 1], 15), (15, 11)),  # 1 + x + x^4
+}
+
+
+def gate_built(code):
+    sv = Statevector(code.n)
+    apply_codespace_prep(sv, code)
+    return sv
+
+
 class TestStatePreparation:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + sorted(NAMED_CODES))
+    def test_prepared_state_is_the_gate_built_state_byte_for_byte(self, name):
+        # Every bit of every amplitude, the signs of the zeros included: the
+        # codeword amplitude is 1/sqrt(2) multiplied in k times, as the
+        # Hadamards leave it, which 2 ** (-k / 2) misses in the last bit.
+        if name in NAMED_CODES:
+            rows, nk = NAMED_CODES[name]
+            code = code_from_generator(Gf2Matrix.from_rows(rows))
+            assert (code.n, code.k) == nk
+        else:
+            code = builtin_code(name)
+        assert prepare_uniform_codespace(code).amplitudes.tobytes() == gate_built(code).amplitudes.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(generators(max_n=12), st.booleans())
+    def test_prepared_state_is_the_gate_built_state_on_generated_codes(self, rows, as_codewords):
+        # Both code factories store an RREF generator, which the gate-built
+        # preparation needs.
+        if as_codewords:
+            code = code_from_codewords([BitVector.from_string(w) for w in span_words(rows)])
+        else:
+            code = code_from_generator(Gf2Matrix.from_rows(rows))
+        assert prepare_uniform_codespace(code).amplitudes.tobytes() == gate_built(code).amplitudes.tobytes()
+
     def test_633_uniform_support(self, lbc_633):
         sv = prepare_uniform_codespace(lbc_633)
         expected = {bv(s).to_index() for s in CODESPACE_633}
@@ -182,9 +239,11 @@ class TestStatePreparation:
         pytest.param([[1, 1], [0, 1]], id="pivot_column_not_unit"),
     ])
     def test_non_rref_generator_rejected(self, rows):
+        # The gate-built preparation of the test reference is right only for
+        # an RREF generator; both code factories store one.
         bad = Code(n=2, k=2, generator=Gf2Matrix.from_rows(rows), parity_check=Gf2Matrix(2, ()))
-        with pytest.raises(StatePrepError):
-            prepare_uniform_codespace(bad)
+        with pytest.raises(ValueError, match="reduced row-echelon"):
+            apply_codespace_prep(Statevector(2), bad)
 
 
 class TestCostUnitary:
@@ -197,7 +256,7 @@ class TestCostUnitary:
     def test_single_pair_phase_full_mode(self):
         # Matching codeword and ancilla bits pick up exp(i gamma / 2).
         gamma = 1.234
-        sv = Statevector.basis(2, 0b11)
+        sv = basis_state(2, 0b11)
         apply_full_cost_unitary(sv, gamma, bv("1"))
         assert sv.amplitudes[0b11] == pytest.approx(np.exp(1j * gamma / 2))
 
@@ -267,7 +326,7 @@ class TestMixerUnitary:
         for trial in range(10):
             beta = float(rng.uniform(0, 2 * math.pi))
             sv_a = random_state(code.n, 200 + trial)
-            sv_b = sv_a.copy()
+            sv_b = Statevector(code.n, sv_a.amplitudes.copy())
             apply_mixer_unitary(sv_a, beta, mixer)
             apply_mixer_gates(sv_b, beta, mixer, code.n)
             assert np.allclose(sv_a.amplitudes, sv_b.amplitudes, atol=1e-12)
@@ -322,7 +381,7 @@ class TestMixerUnitary:
 
 class TestMeasureCounts:
     def test_basis_state_deterministic(self):
-        sv = Statevector.basis(3, 0b101)
+        sv = basis_state(3, 0b101)
         counts = measure_counts(sv, 2000, seed=0)
         assert counts == {"101": 2000}
 
@@ -341,6 +400,15 @@ class TestMeasureCounts:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             measure_counts(Statevector(1), 0, seed=0)
+
+    def test_one_shot(self):
+        assert measure_counts(basis_state(2, 0b11), 1, seed=0) == {"11": 1}
+
+    def test_probabilities_are_normalised_before_sampling(self):
+        # |amplitude|^2 is (4, 1), so the outcomes are drawn with (0.8, 0.2).
+        sv = Statevector(1, np.array([2.0, 1.0j]))
+        expected = np.random.default_rng(3).multinomial(1000, [0.8, 0.2])
+        assert measure_counts(sv, 1000, seed=3) == {"0": int(expected[0]), "1": int(expected[1])}
 
 
 class TestGlobalPhaseComparison:

@@ -44,7 +44,7 @@ def branch_layers(trellis):
     in its ``froms`` position of the previous cut. It ends at its start state
     plus H's columns at the section's bits times its label, and the state at
     position i of the next cut is the end of the first branch of block i."""
-    b = trellis.branch_bits
+    b = trellis.code.branch_bits
     columns = syndrome_columns(trellis.code)
     states = [0]
     layers = []
@@ -138,7 +138,7 @@ class TestBuildTrellis:
         trellis = build_trellis(conv_code)
         assert path_count(trellis) == 8
         assert len(trellis.sections) == 5
-        assert trellis.branch_bits == 2
+        assert trellis.code.branch_bits == 2
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_null_state_at_both_ends(self, name, all_builtins):
@@ -247,7 +247,7 @@ class TestViterbiDecode:
         assert child.returncode == 0, child.stderr
         sections, best_metric, best_codewords = ast.literal_eval(child.stdout)
         code = code_from_codewords([BitVector(n, 0), bv("1" * n)], branch_bits=branch_bits)
-        assert path_count(Trellis(code, branch_bits, sections)) == 2
+        assert path_count(Trellis(code, sections)) == 2
         result = ml_brute_force(code, bv(received))
         assert (best_metric, best_codewords) == (result.best_metric, [str(c) for c in result.best_codewords])
         assert best_metric == 15
