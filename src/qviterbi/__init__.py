@@ -31,7 +31,6 @@ from .codes import (
     Gf2Matrix,
     builtin_code,
     builtin_names,
-    code_from_codewords,
     code_from_generator,
     code_from_json,
     load_code,

@@ -5,6 +5,10 @@ configuration and seed. Results go to stdout unless --out is given; progress
 goes to stderr. Exit codes: 0 success, 2 usage or configuration error, 3
 internal failure.
 
+Each subparser names its command, ``cmd_x(args, code, received)``. ``main``
+loads the code and parses the received word, checks its length, and passes
+both with the parsed arguments; the command reads the arguments it has.
+
 The module imports only what ``oracle`` needs, code loading and the trellis
 decoder, which are pure Python. ``engine`` imports numpy, so ``decode``,
 ``compare`` and ``landscape`` import it when they run, and ``TRAINERS``,
@@ -24,7 +28,7 @@ import inspect
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from .codes import BitVector, Code, load_code
 from .errors import QviterbiError
@@ -49,35 +53,6 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-@dataclass
-class RunConfig:
-    """One command's settings. The parser holds every default; a setting the command has no option for is None."""
-
-    code_source: str
-    code: Code
-    received: BitVector
-    p: int | None
-    q: int | None
-    shots: int | None
-    seed: int | None
-    strategy: str | None
-    mode: str | None
-    out: str | None
-    dump_state: bool | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        code = load_code(args.code)
-        received = BitVector.from_string(args.received)
-        if len(received) != code.n:
-            raise ValueError(f"received vector has {len(received)} bits but the code has n = {code.n}")
-        settings = ("p", "q", "shots", "seed", "strategy", "mode", "out", "dump_state")
-        cfg = cls(args.code, code, received, **{name: getattr(args, name, None) for name in settings})
-        if cfg.dump_state and (1 << code.n) > MAX_DUMP_ENTRIES:
-            raise ValueError(f"state has {1 << code.n} entries; dump is limited to {MAX_DUMP_ENTRIES}")
-        return cfg
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -94,33 +69,35 @@ def _top_state(distribution: dict[str, float]) -> str:
     return sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
 
 
-def cmd_decode(cfg: RunConfig) -> str:
-    trainer = __getattr__("TRAINERS")[cfg.strategy]
-    result = trainer(cfg.code, cfg.received, cfg.p, cfg.q, cfg.shots, cfg.seed, mode=cfg.mode)
-    oracle = viterbi_decode(build_trellis(cfg.code), cfg.received)
+def cmd_decode(args: argparse.Namespace, code: Code, received: BitVector) -> str:
+    if args.dump_state and (1 << code.n) > MAX_DUMP_ENTRIES:
+        raise ValueError(f"state has {1 << code.n} entries; dump is limited to {MAX_DUMP_ENTRIES}")
+    trainer = __getattr__("TRAINERS")[args.strategy]
+    result = trainer(code, received, args.p, args.q, args.shots, args.seed, mode=args.mode)
+    oracle = viterbi_decode(build_trellis(code), received)
     oracle_words = [str(c) for c in oracle.best_codewords]
     report = {
         "command": "decode",
-        "code": cfg.code_source,
-        "received": str(cfg.received),
-        "p": cfg.p,
-        "q": cfg.q,
-        "shots": cfg.shots,
-        "seed": cfg.seed,
-        "strategy": cfg.strategy,
-        "mode": cfg.mode,
+        "code": args.code,
+        "received": str(received),
+        "p": args.p,
+        "q": args.q,
+        "shots": args.shots,
+        "seed": args.seed,
+        "strategy": args.strategy,
+        "mode": args.mode,
         "result": result.to_json_dict(),
         "oracle": {"best_metric": oracle.best_metric, "best_codewords": oracle_words},
         "oracle_agrees": _top_state(result.distribution) in set(oracle_words),
     }
-    if cfg.dump_state:
-        sv = __getattr__("run_pqc")(cfg.code, cfg.received, result.best_params)
+    if args.dump_state:
+        sv = __getattr__("run_pqc")(code, received, result.best_params)
         report["statevector"] = sv.to_json_entries()
     return _json_report(report)
 
 
-def cmd_oracle(cfg: RunConfig) -> str:
-    oracle = viterbi_decode(build_trellis(cfg.code), cfg.received)
+def cmd_oracle(args: argparse.Namespace, code: Code, received: BitVector) -> str:
+    oracle = viterbi_decode(build_trellis(code), received)
     return _json_report(
         {
             "best_metric": oracle.best_metric,
@@ -129,26 +106,24 @@ def cmd_oracle(cfg: RunConfig) -> str:
     )
 
 
-def cmd_compare(cfg: RunConfig, repetitions: int) -> str:
-    if repetitions < 1:
+def cmd_compare(args: argparse.Namespace, code: Code, received: BitVector) -> str:
+    if args.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     trainers = __getattr__("TRAINERS")
     lines = ["repetition,upo_hits,fpo_hits"]
-    for rep in range(repetitions):
-        rep_seed = cfg.seed + rep
+    for rep in range(args.repetitions):
+        rep_seed = args.seed + rep
         hits = {}
         for strategy in ("upo", "fpo"):
-            result = trainers[strategy](
-                cfg.code, cfg.received, cfg.p, cfg.q, cfg.shots, rep_seed, mode=cfg.mode
-            )
+            result = trainers[strategy](code, received, args.p, args.q, args.shots, rep_seed, mode=args.mode)
             hits[strategy] = result.solution_hits
         print(f"repetition {rep}: upo={hits['upo']} fpo={hits['fpo']}", file=sys.stderr)
         lines.append(f"{rep},{hits['upo']},{hits['fpo']}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_landscape(cfg: RunConfig, grid: int) -> str:
-    rows = __getattr__("landscape_scan")(cfg.code, cfg.received, cfg.p, grid)
+def cmd_landscape(args: argparse.Namespace, code: Code, received: BitVector) -> str:
+    rows = __getattr__("landscape_scan")(code, received, args.p, args.grid)
     lines = ["beta,gamma,expectation"]
     lines.extend(",".join(repr(float(x)) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -163,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, training: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, command: Callable[..., str], training: bool) -> None:
+        p.set_defaults(run=command)
         p.add_argument("--code", required=True, help="built-in code name or JSON file path")
         p.add_argument("--received", required=True, help="received vector as a bit string")
         p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
@@ -176,19 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cost evaluation during optimization")
 
     dec = sub.add_parser("decode", help="train a circuit and decode the received vector")
-    add_common(dec, training=True)
+    add_common(dec, cmd_decode, training=True)
     dec.add_argument("--strategy", choices=("fpo", "random", "upo"), default="upo")
     dec.add_argument("--dump-state", action="store_true", help="include the final statevector in the report")
 
     orc = sub.add_parser("oracle", help="classical trellis decode")
-    add_common(orc, training=False)
+    add_common(orc, cmd_oracle, training=False)
 
     cmp_ = sub.add_parser("compare", help="solution-hit counts of upo vs fpo over repetitions")
-    add_common(cmp_, training=True)
+    add_common(cmp_, cmd_compare, training=True)
     cmp_.add_argument("--repetitions", type=int, default=10)
 
     land = sub.add_parser("landscape", help="export the shared-parameter cost landscape as CSV")
-    add_common(land, training=False)
+    add_common(land, cmd_landscape, training=False)
     land.add_argument("--p", type=int, default=3, help="number of circuit layers")
     land.add_argument("--grid", type=int, default=32, help="grid points per axis")
 
@@ -204,19 +180,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        if args.command == "decode":
-            text = cmd_decode(cfg)
-        elif args.command == "oracle":
-            text = cmd_oracle(cfg)
-        elif args.command == "compare":
-            text = cmd_compare(cfg, args.repetitions)
-        elif args.command == "landscape":
-            text = cmd_landscape(cfg, args.grid)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
-        _emit(text, cfg.out)
-    except (QviterbiError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        code = load_code(args.code)
+        received = BitVector.from_string(args.received)
+        if len(received) != code.n:
+            raise ValueError(f"received vector has {len(received)} bits but the code has n = {code.n}")
+        _emit(args.run(args, code, received), args.out)
+    except (QviterbiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

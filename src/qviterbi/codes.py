@@ -121,27 +121,26 @@ class Gf2Matrix:
 class Code:
     """A binary linear code, held as its generator and parity-check matrices.
 
-    ``generator`` is stored in reduced row-echelon form and ``parity_check``
-    is an (n - k) x n matrix whose null space is the code. ``codewords`` holds
-    every codeword as an integer (leftmost bit most significant) in ascending
-    order, which is also message order: bit j of a word's index is its bit at
-    the pivot of generator row k - 1 - j. It is the span of the generator
-    rows, enumerated on first access and kept; ``d`` is the least weight of a
-    nonzero codeword (0 when k = 0), scanned from ``codewords`` on first
-    access. The trellis oracle reads neither; the compiled circuit and the
-    mixer read both, and ``ml_brute_force`` the words. ``codespace`` derives
-    the same words, in the same order, as bit vectors on each access; they
-    are stored once, in ``codewords``. ``branch_bits`` is the trellis branch
-    label width (more than 1 only for terminated convolutional codes ingested
-    as codeword lists).
+    Fields: ``n`` and ``k``, the length and dimension; ``generator``, k x n in
+    reduced row-echelon form; ``parity_check``, (n - k) x n with the code as
+    its null space; ``branch_bits``, the trellis branch label width (more
+    than 1 only for terminated convolutional codes ingested as codeword
+    lists). Derived: ``codewords`` holds every codeword as an integer
+    (leftmost bit most significant) in ascending order, which is also
+    message order: bit j of a word's index is its bit at the pivot of
+    generator row k - 1 - j. It is the span of the generator rows,
+    enumerated on first access and kept; ``d``, the least weight of a
+    nonzero codeword (0 when k = 0), is scanned from it on first access.
+    The trellis oracle reads neither; the compiled circuit and the mixer
+    read both, and ``ml_brute_force`` the words. ``codespace`` derives the
+    same words, in the same order, as bit vectors on each access.
     """
 
     n: int
     k: int
     generator: Gf2Matrix
     parity_check: Gf2Matrix
-    branch_bits: int = 1
-    name: str = ""
+    branch_bits: int
 
     @cached_property
     def codewords(self) -> tuple[int, ...]:
@@ -184,18 +183,17 @@ def span(values) -> list[int]:
     return words
 
 
-def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:
+def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:
     return Code(
         n=generator.cols,
         k=generator.rows,
         generator=generator,
         parity_check=_parity_check(generator, pivots),
         branch_bits=branch_bits,
-        name=name,
     )
 
 
-def code_from_generator(generator: Gf2Matrix, name: str = "") -> Code:
+def code_from_generator(generator: Gf2Matrix) -> Code:
     """Build a code from a full-row-rank generator matrix.
 
     The generator is reduced to RREF before use; the codespace is the span of
@@ -209,45 +207,7 @@ def code_from_generator(generator: Gf2Matrix, name: str = "") -> Code:
     reduced, pivots = generator.rref()
     if reduced.rows < generator.rows:
         raise RankError(f"generator is rank-deficient: rank {reduced.rows} < {generator.rows} rows")
-    return _finish_code(reduced, pivots, 1, name)
-
-
-def code_from_codewords(
-    words: list[BitVector],
-    name: str = "",
-    branch_bits: int = 1,
-) -> Code:
-    """Build a code from an explicit, XOR-closed codeword list.
-
-    A generator basis is extracted by row reduction; ``k`` is the rank. Raises
-    NotLinearError when the set is not a linear code: a set of 2^k distinct
-    words whose span has dimension k is that span.
-    """
-    return _code_from_word_ints({w.length for w in words}, [w.value for w in words], name, branch_bits)
-
-
-def _code_from_word_ints(lengths: set[int], words: list[int], name: str, branch_bits: int) -> Code:
-    # The core of ``code_from_codewords`` and of a codeword-list JSON: ``words``
-    # are the listed codewords as ints, and ``lengths`` their printed lengths.
-    if not words:
-        raise NotLinearError("empty codeword list")
-    if len(lengths) != 1:
-        raise LengthError("codewords have mixed lengths")
-    (n,) = lengths
-    ints = set(words)
-    if len(ints) != len(words):
-        raise NotLinearError("duplicate codewords in list")
-    if 0 not in ints:
-        raise NotLinearError("codespace must contain the all-zero word")
-    size = len(ints)
-    if size & (size - 1):
-        raise NotLinearError(f"|codespace| = {size} is not a power of two")
-    if branch_bits < 1 or n % branch_bits:
-        raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n} into sections")
-    reduced, pivots = Gf2Matrix(n, tuple(ints)).rref()
-    if (1 << reduced.rows) != size:
-        raise NotLinearError("codeword set is not closed under XOR")
-    return _finish_code(reduced, pivots, branch_bits, name)
+    return _finish_code(reduced, pivots, 1)
 
 
 # Built-in codes: a [6,3,3] block code, a [3,2,1] block code, and a rate-1/2
@@ -289,7 +249,7 @@ def builtin_names() -> list[str]:
 def builtin_code(name: str) -> Code:
     if name not in _BUILTIN_SPECS:
         raise KeyError(f"unknown built-in code {name!r}; known: {', '.join(builtin_names())}")
-    return code_from_json({"name": name, **_BUILTIN_SPECS[name]})
+    return code_from_json(_BUILTIN_SPECS[name])
 
 
 # The keys each code JSON shape may hold.
@@ -307,8 +267,11 @@ def code_from_json(obj: dict) -> Code:
     ``{"name": str, "n": int, "k": int, "codewords": ["0101...", ...],
     "branch_bits": int}``. Only ``generator`` or ``codewords`` is required;
     ``branch_bits`` defaults to 1. A declared ``n`` or ``k`` must be an
-    integer equal to the built code's. Any other key, or both ``generator``
-    and ``codewords``, raises ``ValueError``.
+    integer equal to the built code's; ``name`` must be a string, and is
+    checked but not stored. Any other key, or both ``generator`` and
+    ``codewords``, raises ``ValueError``. A codeword list's basis is found by
+    row reduction: a set of 2^k distinct words whose span has dimension k is
+    that span, and any other set raises ``NotLinearError``.
     """
     if not isinstance(obj, dict):
         raise ValueError("code JSON must be an object")
@@ -322,19 +285,37 @@ def code_from_json(obj: dict) -> Code:
     if unknown:
         raise ValueError(f"unexpected key(s) {', '.join(map(repr, unknown))} in a {shape!r} code JSON; "
                          f"allowed: {', '.join(sorted(_JSON_KEYS[shape]))}")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {name!r}")
+    if not isinstance(obj.get("name", ""), str):
+        raise ValueError(f"name must be a string, got {obj['name']!r}")
     if shape == "generator":
-        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]), name=name)
+        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]))
     else:
         strings = obj["codewords"]
         if not isinstance(strings, list):
             raise ValueError("codewords must be a list of bit strings")
         for s in strings:
             _check_bit_string(s)
-        code = _code_from_word_ints({len(s) for s in strings}, [int(s, 2) for s in strings], name,
-                                    _json_int(obj, "branch_bits", 1))
+        branch_bits = _json_int(obj, "branch_bits", 1)
+        if not strings:
+            raise NotLinearError("empty codeword list")
+        lengths = {len(s) for s in strings}
+        if len(lengths) != 1:
+            raise LengthError("codewords have mixed lengths")
+        (n,) = lengths
+        words = {int(s, 2) for s in strings}
+        if len(words) != len(strings):
+            raise NotLinearError("duplicate codewords in list")
+        if 0 not in words:
+            raise NotLinearError("codespace must contain the all-zero word")
+        size = len(words)
+        if size & (size - 1):
+            raise NotLinearError(f"|codespace| = {size} is not a power of two")
+        if branch_bits < 1 or n % branch_bits:
+            raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n} into sections")
+        reduced, pivots = Gf2Matrix(n, tuple(words)).rref()
+        if (1 << reduced.rows) != size:
+            raise NotLinearError("codeword set is not closed under XOR")
+        code = _finish_code(reduced, pivots, branch_bits)
     for key, built in (("n", code.n), ("k", code.k)):
         if key in obj and _json_int(obj, key) != built:
             raise ValueError(f"declared {key} = {obj[key]} but the code has {key} = {built}")

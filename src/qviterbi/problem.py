@@ -236,18 +236,14 @@ class DecodeProblem:
 
         return layers, probabilities
 
-    def amplitudes(
-        self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
-    ) -> np.ndarray:
+    def amplitudes(self, betas: Sequence[float], gammas: Sequence[float]) -> np.ndarray:
         """Circuit output over the codewords: each layer applies the mixer, then the cost.
 
-        The layers act on ``start``, the output of earlier layers, if it is
-        given, else on the uniform start state; ``start`` is not modified.
+        The layers act on the uniform start state, which is not modified.
         The result is a fresh array.
         """
-        start = self.start if start is None else start
-        psi = self._bind(start)[0](betas, gammas)
-        return psi.copy() if psi is start else psi
+        psi = self._bind(self.start)[0](betas, gammas)
+        return psi.copy() if psi is self.start else psi
 
     def probabilities(
         self, betas: Sequence[float], gammas: Sequence[float], start: np.ndarray | None = None
@@ -271,12 +267,14 @@ class DecodeProblem:
     ) -> Callable[[Sequence[float], Sequence[float]], float]:
         """One optimizer draw's objective ``f(betas, gammas)``, the circuit's cost expectation.
 
-        The layers act on ``start`` as in ``amplitudes``, with work arrays of
-        the binding's own. Without ``shots`` and ``rng`` a call returns the
-        exact expectation, ``probabilities(betas, gammas, start)`` dotted with
-        the distances; with both, the mean distance of ``shots`` outcomes
-        drawn as ``sample`` draws them, every call taking its shots from
-        ``rng`` in call order. Giving only one of them is a ValueError.
+        The layers act on ``start``, the output of earlier layers, if it is
+        given, else on the uniform start state; neither is modified. The
+        binding has work arrays of its own. Without ``shots`` and ``rng`` a
+        call returns the exact expectation, ``probabilities(betas, gammas,
+        start)`` dotted with the distances; with both, the mean distance of
+        ``shots`` outcomes drawn as ``sample`` draws them, every call taking
+        its shots from ``rng`` in call order. Giving only one of them is a
+        ValueError.
         """
         if (shots is None) != (rng is None):
             raise ValueError("shots and rng are given together or not at all")

@@ -39,24 +39,16 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 class Statevector:
-    """Dense complex amplitude array over all basis states of ``num_qubits``."""
+    """Dense complex amplitude array over all basis states of ``num_qubits``, starting in |0...0>."""
 
     __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
+    def __init__(self, num_qubits: int):
         if not 1 <= num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
         self.num_qubits = num_qubits
-        dim = 1 << num_qubits
-        if amplitudes is None:
-            amplitudes = np.zeros(dim, dtype=np.complex128)
-            amplitudes[0] = 1.0
-        else:
-            # Contiguous, so a reshaped view of it writes through to it.
-            amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-            if amplitudes.shape != (dim,):
-                raise ValueError(f"expected {dim} amplitudes, got {amplitudes.shape}")
-        self.amplitudes = amplitudes
+        self.amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+        self.amplitudes[0] = 1.0
 
     @property
     def dim(self) -> int:

@@ -86,13 +86,13 @@ MUTANTS = (
     Mutant(
         "d_computed_at_load",
         "src/qviterbi/codes.py",
-        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:\n",
-        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:\n"
-        "    code = _finish_code_lazily(generator, pivots, branch_bits, name)\n"
+        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n",
+        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n"
+        "    code = _finish_code_lazily(generator, pivots, branch_bits)\n"
         "    code.d\n"
         "    return code\n"
         "\n\n"
-        "def _finish_code_lazily(generator: Gf2Matrix, pivots, branch_bits, name) -> Code:\n",
+        "def _finish_code_lazily(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n",
         ("tests/test_trellis.py::TestGolay24::test_oracle_never_lists_the_codewords",),
     ),
     Mutant(

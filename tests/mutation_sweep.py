@@ -98,6 +98,18 @@ EQUIVALENT = (
                "unlike the FATOL tie, which a test pins"),
     Equivalent("src/qviterbi/nelder_mead.py", "xc = _along(xbar, worst, _PSI * _RHO)", "*", "/",
                "the reflection coefficient is 1, so psi * rho and psi / rho are both psi"),
+    Equivalent("src/qviterbi/cli.py", "return sorted(distribution.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]",
+               "0", "1",
+               "the engine lists a distribution in ascending codeword order, which is ascending bit-string "
+               "order, and sorted is stable, so a tie in probability keeps the lesser bit string first "
+               "whether the second key is the string or the probability again"),
+    Equivalent("src/qviterbi/codes.py",
+               "(1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator.words) if "
+               "(g >> (n - 1 - f)) & 1)", "|", "^",
+               "f is not a pivot column, so the check's bit at f and its bits at the pivots are disjoint"),
+    Equivalent("src/qviterbi/codes.py", "[1, 0, 1],", "0", "1",
+               "lbc_321's rows [0, 1, 0] and [1, 1, 1] span the same code as [0, 1, 0] and [1, 0, 1], and a "
+               "code is loaded as the unique RREF of its row space"),
 )
 
 

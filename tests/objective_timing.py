@@ -42,17 +42,13 @@ def time_tree() -> dict[str, float]:
     """Case name -> best microseconds per evaluation, in this process's ``qviterbi``."""
     import numpy as np
 
-    from qviterbi import BitVector, Gf2Matrix, code_from_codewords, code_from_generator
+    from qviterbi import BitVector, code_from_json
     from qviterbi.problem import DecodeProblem
     from workloads import SPECS
 
     times = {}
     for name in decode_codes():
-        body = SPECS[name][1]
-        if "generator" in body:
-            code = code_from_generator(Gf2Matrix.from_rows(body["generator"]))
-        else:
-            code = code_from_codewords([BitVector.from_string(w) for w in body["codewords"]])
+        code = code_from_json(SPECS[name][1])
         rng = np.random.default_rng(0)
         problem = DecodeProblem(code, BitVector(code.n, int(rng.integers(1 << code.n))))
         beta, gamma = rng.uniform(0.0, 6.28, 2).tolist()

@@ -2,13 +2,14 @@
 
 The package ships one dense circuit, the folded n-qubit statevector of
 ``qviterbi.statevector``, which writes its codespace superposition directly.
-This module holds the gates (H, X, CX, Rz) as functions on a ``Statevector``
-and builds from them the circuit the paper draws, on a codeword register
-(qubits 0 .. n-1) and an ancilla register holding the received word (qubits
-n .. 2n-1): the codespace preparation, Hadamards on the generator's pivot
-qubits and a CX fan-out of each row; the cost, a CX - Rz(-gamma) - CX
-sandwich on each codeword/ancilla pair; and each mixer term, an X-mask over
-the codeword register, a Hadamard-conjugated CX chain around one Rz. It also
+``state_from`` puts given amplitudes in a ``Statevector``. This module holds
+the gates (H, X, CX, Rz) as functions on a ``Statevector`` and builds from
+them the circuit the paper draws, on a codeword register (qubits 0 .. n-1)
+and an ancilla register holding the received word (qubits n .. 2n-1): the
+codespace preparation, Hadamards on the generator's pivot qubits and a CX
+fan-out of each row; the cost, a CX - Rz(-gamma) - CX sandwich on each
+codeword/ancilla pair; and each mixer term, an X-mask over the codeword
+register, a Hadamard-conjugated CX chain around one Rz. It also
 holds the Pauli form of the cost, Z_i Z_(n+i) terms as (coefficient, Z-mask)
 pairs whose eigenvalue is the Hamming distance between the registers, the
 Fourier expansion of the XOR clause it comes from, and the plain
@@ -39,11 +40,22 @@ from qviterbi.problem import DecodeProblem
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
+def state_from(amplitudes) -> Statevector:
+    """A ``Statevector`` that holds ``amplitudes`` (2^n of them) as a contiguous complex array.
+
+    Contiguous, so a reshaped view of it writes through to it.
+    """
+    amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    sv = Statevector(amps.size.bit_length() - 1)
+    sv.amplitudes = amps
+    return sv
+
+
 def basis_state(num_qubits: int, index: int) -> Statevector:
     """The computational basis state |index> on ``num_qubits`` qubits."""
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return Statevector(num_qubits, amps)
+    return state_from(amps)
 
 
 def _check(sv: Statevector, qubit: int) -> None:
@@ -196,7 +208,7 @@ def extract_codeword_register(sv: Statevector, received: BitVector) -> Statevect
     leak = 1.0 - float(np.sum(np.abs(reduced) ** 2))
     if leak > 1e-9:
         raise ValueError(f"ancilla register left its basis state (leak {leak:.2e})")
-    return Statevector(n, reduced)
+    return state_from(reduced)
 
 
 def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:

@@ -38,6 +38,7 @@ def test_decode_succeeds(capsys):
     rc, out, _ = run(DECODE, capsys)
     assert rc == 0
     assert json.loads(out)["command"] == "decode"
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -46,6 +47,7 @@ def test_decode_succeeds(capsys):
     ["oracle", "--code", "conv_r12_m2", "--received", "1101100111"],
     ["compare", "--code", "lbc_321", "--received", "011", "--p", "2", "--q", "2", "--repetitions", "2"],
     ["landscape", "--code", "lbc_321", "--received", "011", "--p", "2", "--grid", "4"],
+    ["compare", "--code", "lbc_321", "--received", "011", "--p", "1", "--q", "1", "--repetitions", "1"],
 ])
 def test_same_argv_gives_byte_identical_reports(argv, capsys):
     rc1, first, _ = run(argv, capsys)
@@ -85,6 +87,10 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys):
     ["oracle", "--code", CodeFile({"generator": [[1, 1]], "codewords": ["00", "01"]}), "--received", "10"],
     ["oracle", "--code", CodeFile({"codewords": ["00", "11"], "branchbits": 2}), "--received", "10"],
     ["oracle", "--code", CodeFile({"generator": [[1, 1]], "name": [1, 2]}), "--received", "10"],
+    ["compare", "--code", "lbc_321", "--received", "011", "--repetitions", "0"],
+    ["oracle", "--code", CodeFile({"generator": [[int(i == j) for j in range(21)] for i in range(21)]}),
+     "--received", "0" * 21],
+    ["oracle", "--code", CodeFile({"generator": []}), "--received", "0"],
 ])
 def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     argv = [write_code(tmp_path, a.body) if isinstance(a, CodeFile) else a for a in argv]
@@ -92,6 +98,29 @@ def test_configuration_errors_exit_2(argv, tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("decode", {"p": 3, "q": 5, "shots": 2000, "seed": 0, "mode": "exact", "strategy": "upo", "dump_state": False}),
+    ("oracle", {}),
+    ("compare", {"p": 3, "q": 5, "shots": 2000, "seed": 0, "mode": "exact", "repetitions": 10}),
+    ("landscape", {"p": 3, "grid": 32}),
+])
+def test_each_command_parses_its_own_settings_and_defaults(command, defaults):
+    args = cli.build_parser().parse_args([command, "--code", "lbc_633", "--received", "111011"])
+    assert args.run is getattr(cli, f"cmd_{command}")
+    assert vars(args) == {"command": command, "code": "lbc_633", "received": "111011", "out": None,
+                          "run": args.run, **defaults}
+
+
+def test_malformed_code_json_exits_2(tmp_path, capsys):
+    # json.JSONDecodeError is a ValueError, so it is a configuration error.
+    path = tmp_path / "code.json"
+    path.write_text('{"generator": [[1, 1]')
+    rc, out, err = run(["oracle", "--code", str(path), "--received", "11"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: Expecting ")
 
 
 def test_parse_failure_leaves_later_calls_as_in_a_fresh_process(capsys):
@@ -174,7 +203,16 @@ def test_dump_state_refused_before_training(tmp_path, monkeypatch, capsys):
     rc, out, err = run(["decode", "--code", source, "--received", "0" * 15, "--dump-state"], capsys)
     assert rc == 2
     assert out == ""
-    assert "dump is limited" in err
+    assert err == "error: state has 32768 entries; dump is limited to 16384\n"
+
+
+def test_dump_state_at_the_limit(tmp_path, capsys):
+    # n = 14 fills the dump exactly; the n = 15 test above is one qubit over it.
+    source = write_code(tmp_path, {"generator": [[1] * 14]})
+    rc, out, _ = run(["decode", "--code", source, "--received", "1" * 14, "--p", "1", "--q", "1", "--dump-state"],
+                     capsys)
+    assert rc == 0
+    assert len(json.loads(out)["statevector"]) == cli.MAX_DUMP_ENTRIES == 1 << 14
 
 
 def test_dump_state_within_limit(capsys):
@@ -194,12 +232,14 @@ def test_dump_state_within_limit(capsys):
             assert prob == 0.0
 
 
-def test_internal_failure_exits_3(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
+def test_internal_failure_exits_3(error, monkeypatch, capsys):
+    # No user input reaches a KeyError on the command path, so one is an internal failure.
     def broken(*args, **kwargs):
-        raise RuntimeError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli, "viterbi_decode", broken)
     rc, out, err = run(["oracle", "--code", "lbc_633", "--received", "111011"], capsys)
     assert rc == 3
     assert out == ""
-    assert "RuntimeError: boom" in err
+    assert f"{error.__name__}: {error('boom')}" in err

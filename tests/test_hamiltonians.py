@@ -6,7 +6,7 @@ from qviterbi import (
     EmptyMixerError,
     LengthError,
     build_mixer_hamiltonian,
-    code_from_codewords,
+    code_from_json,
 )
 from qviterbi.problem import DecodeProblem, fwht
 from conftest import BUILTIN_NAMES, MIN_WEIGHT_633, MIN_WEIGHT_CONV
@@ -153,7 +153,7 @@ class TestMixerHamiltonian:
         assert term_supports(h, 3) == {frozenset({2})}
 
     def test_zero_code_raises(self):
-        code = code_from_codewords([BitVector(3, 0)])
+        code = code_from_json({"codewords": ["000"]})
         with pytest.raises(EmptyMixerError):
             build_mixer_hamiltonian(code)
 
@@ -191,7 +191,7 @@ class TestGMatrix:
     def test_zero_code(self):
         # The zero code has no minimum-weight word, so there is no mixer to compile.
         with pytest.raises(EmptyMixerError):
-            g_matrix(code_from_codewords([BitVector(3, 0)]))
+            g_matrix(code_from_json({"codewords": ["000"]}))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symmetric_zero_diagonal(self, name, all_builtins):

@@ -14,8 +14,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Every name the package exports, with the submodule that defines it.
 EXPORTS = {
-    "codes": ["BitVector", "Code", "Gf2Matrix", "builtin_code", "builtin_names", "code_from_codewords",
-              "code_from_generator", "code_from_json", "load_code"],
+    "codes": ["BitVector", "Code", "Gf2Matrix", "builtin_code", "builtin_names", "code_from_generator",
+              "code_from_json", "load_code"],
     "engine": ["QaoaParams", "TrainingResult", "expectation_exact", "expectation_sampled", "landscape_scan",
                "run_pqc", "train_fpo", "train_random", "train_upo"],
     "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError"],

@@ -13,8 +13,8 @@ from qviterbi import (
     EmptyMixerError,
     Gf2Matrix,
     QaoaParams,
-    code_from_codewords,
     code_from_generator,
+    code_from_json,
     measure_counts,
     run_pqc,
     train_fpo,
@@ -59,7 +59,7 @@ def decode_cases(draw):
         code = code_from_generator(Gf2Matrix.from_rows(rows))
     else:
         # The same code ingested as an explicit codeword list.
-        code = code_from_codewords([BitVector.from_string(w) for w in span_words(rows)])
+        code = code_from_json({"codewords": span_words(rows)})
     received = BitVector.from_string("".join(map(str, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
     p = draw(st.integers(1, 3))
     angle = st.floats(0.0, TWO_PI, allow_nan=False)
@@ -373,6 +373,6 @@ def test_sampled_counts_match_dense_measurement(conv_code):
 
 @pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
 def test_zero_code_raises_empty_mixer(trainer):
-    code = code_from_codewords([BitVector(3, 0)])
+    code = code_from_json({"codewords": ["000"]})
     with pytest.raises(EmptyMixerError):
         trainer(code, BitVector.from_string("101"), p=2, q=1, shots=10, seed=0)

@@ -14,8 +14,8 @@ from qviterbi import (
     apply_mixer_unitary,
     build_mixer_hamiltonian,
     builtin_code,
-    code_from_codewords,
     code_from_generator,
+    code_from_json,
     measure_counts,
     prepare_uniform_codespace,
 )
@@ -41,6 +41,7 @@ from reference import (
     basis_state,
     extract_codeword_register,
     prepare_full_register,
+    state_from,
 )
 
 
@@ -51,7 +52,7 @@ def bv(s):
 def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return Statevector(num_qubits, amps / np.linalg.norm(amps))
+    return state_from(amps / np.linalg.norm(amps))
 
 
 def random_codespace_state(code, seed):
@@ -60,7 +61,7 @@ def random_codespace_state(code, seed):
     coeffs = rng.normal(size=len(code.codespace)) + 1j * rng.normal(size=len(code.codespace))
     for c, a in zip(code.codespace, coeffs):
         amps[c.to_index()] = a
-    return Statevector(code.n, amps / np.linalg.norm(amps))
+    return state_from(amps / np.linalg.norm(amps))
 
 
 class TestStatevectorBasics:
@@ -160,7 +161,7 @@ class TestStatevectorBasics:
     def test_gates_act_on_a_strided_input(self):
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
-        sv = Statevector(2, amps[::2])
+        sv = state_from(amps[::2])
         apply_h(sv, 0)
         apply_cx(sv, 0, 1)
         assert np.allclose(sv.amplitudes, [SQRT2_INV, 0, 0, SQRT2_INV])
@@ -207,7 +208,7 @@ class TestStatePreparation:
         # Both code factories store an RREF generator, which the gate-built
         # preparation needs.
         if as_codewords:
-            code = code_from_codewords([BitVector.from_string(w) for w in span_words(rows)])
+            code = code_from_json({"codewords": span_words(rows)})
         else:
             code = code_from_generator(Gf2Matrix.from_rows(rows))
         assert prepare_uniform_codespace(code).amplitudes.tobytes() == gate_built(code).amplitudes.tobytes()
@@ -229,7 +230,7 @@ class TestStatePreparation:
         assert np.allclose(np.abs(sv.amplitudes[sorted(expected)]), 1 / math.sqrt(8))
 
     def test_zero_code_untouched(self):
-        code = code_from_codewords([BitVector(3, 0)])
+        code = code_from_json({"codewords": ["000"]})
         sv = prepare_uniform_codespace(code)
         assert sv.amplitudes[0] == 1.0
 
@@ -241,7 +242,7 @@ class TestStatePreparation:
     def test_non_rref_generator_rejected(self, rows):
         # The gate-built preparation of the test reference is right only for
         # an RREF generator; both code factories store one.
-        bad = Code(n=2, k=2, generator=Gf2Matrix.from_rows(rows), parity_check=Gf2Matrix(2, ()))
+        bad = Code(n=2, k=2, generator=Gf2Matrix.from_rows(rows), parity_check=Gf2Matrix(2, ()), branch_bits=1)
         with pytest.raises(ValueError, match="reduced row-echelon"):
             apply_codespace_prep(Statevector(2), bad)
 
@@ -263,7 +264,7 @@ class TestCostUnitary:
     def test_folded_phase_values(self):
         gamma = 0.81
         r = bv("10")
-        sv = Statevector(2, np.full(4, 0.5, dtype=complex))
+        sv = state_from(np.full(4, 0.5, dtype=complex))
         apply_cost_unitary(sv, gamma, r)
         for i in range(4):
             d = (i ^ r.to_index()).bit_count()
@@ -326,7 +327,7 @@ class TestMixerUnitary:
         for trial in range(10):
             beta = float(rng.uniform(0, 2 * math.pi))
             sv_a = random_state(code.n, 200 + trial)
-            sv_b = Statevector(code.n, sv_a.amplitudes.copy())
+            sv_b = state_from(sv_a.amplitudes.copy())
             apply_mixer_unitary(sv_a, beta, mixer)
             apply_mixer_gates(sv_b, beta, mixer, code.n)
             assert np.allclose(sv_a.amplitudes, sv_b.amplitudes, atol=1e-12)
@@ -406,7 +407,7 @@ class TestMeasureCounts:
 
     def test_probabilities_are_normalised_before_sampling(self):
         # |amplitude|^2 is (4, 1), so the outcomes are drawn with (0.8, 0.2).
-        sv = Statevector(1, np.array([2.0, 1.0j]))
+        sv = state_from(np.array([2.0, 1.0j]))
         expected = np.random.default_rng(3).multinomial(1000, [0.8, 0.2])
         assert measure_counts(sv, 1000, seed=3) == {"0": int(expected[0]), "1": int(expected[1])}
 

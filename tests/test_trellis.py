@@ -16,8 +16,8 @@ from qviterbi import (
     LengthError,
     Trellis,
     build_trellis,
-    code_from_codewords,
     code_from_generator,
+    code_from_json,
     ml_brute_force,
     viterbi_decode,
 )
@@ -127,7 +127,7 @@ class TestBuildTrellis:
         assert len(node_layers(trellis)) == 7
 
     def test_zero_code_single_path(self):
-        code = code_from_codewords([BitVector(4, 0)])
+        code = code_from_json({"codewords": ["0000"]})
         trellis = build_trellis(code)
         assert path_count(trellis) == 1
         result = viterbi_decode(trellis, bv("1111"))
@@ -192,9 +192,9 @@ class TestBuildTrellis:
 WIDE_SECTIONS = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from qviterbi import BitVector, build_trellis, code_from_codewords, viterbi_decode
+from qviterbi import BitVector, build_trellis, code_from_json, viterbi_decode
 n, b = int(sys.argv[1]), int(sys.argv[2])
-code = code_from_codewords([BitVector(n, 0), BitVector(n, (1 << n) - 1)], branch_bits=b)
+code = code_from_json({"codewords": ["0" * n, "1" * n], "branch_bits": b})
 trellis = build_trellis(code)
 result = viterbi_decode(trellis, BitVector.from_string(sys.argv[3]))
 print(repr((trellis.sections, result.best_metric, [str(c) for c in result.best_codewords])))
@@ -246,7 +246,7 @@ class TestViterbiDecode:
                                env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
         sections, best_metric, best_codewords = ast.literal_eval(child.stdout)
-        code = code_from_codewords([BitVector(n, 0), bv("1" * n)], branch_bits=branch_bits)
+        code = code_from_json({"codewords": ["0" * n, "1" * n], "branch_bits": branch_bits})
         assert path_count(Trellis(code, sections)) == 2
         result = ml_brute_force(code, bv(received))
         assert (best_metric, best_codewords) == (result.best_metric, [str(c) for c in result.best_codewords])
@@ -256,7 +256,7 @@ class TestViterbiDecode:
     @pytest.mark.parametrize("branch_bits", [1, 2, 3, 6])
     def test_633_every_section_width(self, lbc_633, branch_bits):
         # Widths 3 and 6 leave sections with fewer branches than labels.
-        code = code_from_codewords(list(lbc_633.codespace), branch_bits=branch_bits)
+        code = code_from_json({"codewords": [str(c) for c in lbc_633.codespace], "branch_bits": branch_bits})
         trellis = build_trellis(code)
         assert path_count(trellis) == 8
         assert_blocks_are_the_predecessors(code, trellis)
@@ -378,7 +378,7 @@ def random_codes(draw):
         # order the 150 derandomized cases hold 2-, 3- and 4-bit sections of
         # 4-, 6- and 8-bit words, and whole-word sections.
         widths = sorted((b for b in range(1, n + 1) if n % b == 0), key=lambda b: (b in (1, n), -b))
-        code = code_from_codewords([bv(w) for w in span_words(rows)], branch_bits=draw(st.sampled_from(widths)))
+        code = code_from_json({"codewords": span_words(rows), "branch_bits": draw(st.sampled_from(widths))})
     received = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     return rows, code, [BitVector.from_string("".join(map(str, r))) for r in received]
 
