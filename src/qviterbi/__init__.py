@@ -3,13 +3,15 @@
 The package takes the mixer of any small linear code as a tuple of X-masks,
 one int per minimum-weight codeword, and the Hamming-distance cost as a
 distance vector. It simulates the layered parameterized circuit exactly on
-the code's 2^k codespace, trains the circuit parameters, and validates every
-decoded result against a classical trellis decoder. One dense circuit ships
-besides the compiled one: the folded n-qubit statevector, which writes the
-codespace superposition directly and serves ``--dump-state`` and the
-benchmark's re-score. The package has no gates and no Pauli forms: the gates,
-the 2n-qubit full-register circuit built from them and the Pauli form of the
-cost are test references (``tests/reference.py``).
+the code's 2^k codespace, trains the circuit parameters with one of three
+strategies (``TRAINERS``, keyed by the CLI's ``--strategy`` name), and
+validates every decoded result against a classical trellis decoder. One
+dense circuit ships besides the compiled one: the folded n-qubit
+statevector, which writes the codespace superposition directly and serves
+``--dump-state`` and the benchmark's re-score. The package has no gates and
+no Pauli forms: the gates, the 2n-qubit full-register circuit built from
+them and the Pauli form of the cost are test references
+(``tests/reference.py``).
 
 ``import qviterbi`` loads ``codes``, ``errors`` and ``trellis`` at once: code
 loading and the trellis oracle, pure Python on ints. The names exported from
@@ -28,10 +30,8 @@ import importlib
 from .codes import (
     BitVector,
     Code,
-    Gf2Matrix,
     builtin_code,
     builtin_names,
-    code_from_generator,
     code_from_json,
     load_code,
 )
@@ -50,14 +50,12 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "QaoaParams",
+        "TRAINERS",
         "TrainingResult",
         "expectation_exact",
         "expectation_sampled",
         "landscape_scan",
         "run_pqc",
-        "train_fpo",
-        "train_random",
-        "train_upo",
     ), "engine"),
     **dict.fromkeys((
         "Statevector",

@@ -3,7 +3,8 @@
 A word is one int. Bit 1 of a word is the leftmost character of its printed
 string, maps to qubit index 0, and is the most significant bit of the int.
 A ``BitVector`` is ``(length, value)``, the int with its printed length; a
-GF(2) matrix holds one such int per row, so rows and codewords share one format.
+GF(2) matrix is a tuple of such ints, one per row, so rows and codewords share
+one format.
 Everything here is Python int arithmetic, so loading a code imports no array
 library.
 
@@ -65,70 +66,42 @@ class BitVector:
         return self.value
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Binary matrix with one integer per row (leftmost column most significant)."""
+def rref(words, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reduced row-echelon form over GF(2) of the rows ``words``, ``cols`` wide, with zero rows dropped.
 
-    cols: int
-    words: tuple[int, ...]
-
-    def __post_init__(self):
-        limit = 1 << self.cols
-        if any(type(w) is not int or not 0 <= w < limit for w in self.words):
-            raise ValueError(f"matrix rows must be integers in [0, 2^{self.cols})")
-
-    @property
-    def rows(self) -> int:
-        return len(self.words)
-
-    @classmethod
-    def from_rows(cls, rows) -> Gf2Matrix:
-        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-            raise ValueError("matrix rows must be lists")
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        for r in rows:
-            for x in r:
-                if type(x) is not int or x not in (0, 1):
-                    raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
-        return cls(ncols, tuple(sum(x << (ncols - 1 - j) for j, x in enumerate(r)) for r in rows))
-
-    def rref(self) -> tuple[Gf2Matrix, tuple[int, ...]]:
-        """Reduced row-echelon form over GF(2) with zero rows dropped.
-
-        Returns the reduced matrix and its pivot columns (strictly increasing).
-        The rows not yet taken as pivots are held as a set, so rows that
-        become equal as columns are cleared collapse into one; a list of all
-        2^k codewords halves at each pivot. The RREF of a row space is unique,
-        so which row is taken as a pivot does not change the result.
-        """
-        reduced, rest, pivots = [], set(self.words), []
-        for c in range(self.cols):
-            bit = 1 << (self.cols - 1 - c)
-            top = next((w for w in rest if w & bit), 0)
-            if top:
-                # Earlier pivots are already cleared from ``rest``, so ``top``
-                # leads at column c; clear column c from every other row.
-                reduced = [w ^ top if w & bit else w for w in reduced] + [top]
-                rest = {w ^ top if w & bit else w for w in rest}
-                rest.discard(0)
-                pivots.append(c)
-        return Gf2Matrix(self.cols, tuple(reduced)), tuple(pivots)
+    Returns the reduced rows and their pivot columns (strictly increasing).
+    The rows not yet taken as pivots are held as a set, so rows that become
+    equal as columns are cleared collapse into one; a list of all 2^k
+    codewords halves at each pivot. The RREF of a row space is unique, so
+    which row is taken as a pivot does not change the result.
+    """
+    reduced, rest, pivots = [], set(words), []
+    for c in range(cols):
+        bit = 1 << (cols - 1 - c)
+        top = next((w for w in rest if w & bit), 0)
+        if top:
+            # Earlier pivots are already cleared from ``rest``, so ``top``
+            # leads at column c; clear column c from every other row.
+            reduced = [w ^ top if w & bit else w for w in reduced] + [top]
+            rest = {w ^ top if w & bit else w for w in rest}
+            rest.discard(0)
+            pivots.append(c)
+    return tuple(reduced), tuple(pivots)
 
 
 @dataclass(frozen=True)
 class Code:
     """A binary linear code, held as its generator and parity-check matrices.
 
-    Fields: ``n`` and ``k``, the length and dimension; ``generator``, k x n in
-    reduced row-echelon form; ``parity_check``, (n - k) x n with the code as
-    its null space; ``branch_bits``, the trellis branch label width (more
-    than 1 only for terminated convolutional codes ingested as codeword
-    lists). Derived: ``codewords`` holds every codeword as an integer
-    (leftmost bit most significant) in ascending order, which is also
-    message order: bit j of a word's index is its bit at the pivot of
-    generator row k - 1 - j. It is the span of the generator rows,
+    Fields: ``n`` and ``k``, the length and dimension; ``generator``, k rows
+    of n columns in reduced row-echelon form; ``parity_check``, n - k rows
+    with the code as their null space; each matrix is a tuple of ints, one
+    per row, leftmost column most significant; ``branch_bits``, the trellis
+    branch label width (more than 1 only for terminated convolutional codes
+    ingested as codeword lists). Derived: ``codewords`` holds every codeword
+    as an integer (leftmost bit most significant) in ascending order, which
+    is also message order: bit j of a word's index is its bit at the pivot
+    of generator row k - 1 - j. It is the span of the generator rows,
     enumerated on first access and kept; ``d``, the least weight of a
     nonzero codeword (0 when k = 0), is scanned from it on first access.
     The trellis oracle reads neither; the compiled circuit and the mixer
@@ -138,15 +111,15 @@ class Code:
 
     n: int
     k: int
-    generator: Gf2Matrix
-    parity_check: Gf2Matrix
+    generator: tuple[int, ...]
+    parity_check: tuple[int, ...]
     branch_bits: int
 
     @cached_property
     def codewords(self) -> tuple[int, ...]:
         # Each earlier RREF row has a more significant pivot, so the span of
         # the rows is sorted.
-        return tuple(span(self.generator.words))
+        return tuple(span(self.generator))
 
     @cached_property
     def d(self) -> int:
@@ -157,23 +130,11 @@ class Code:
         return tuple(BitVector(self.n, w) for w in self.codewords)
 
 
-def _parity_check(generator: Gf2Matrix, pivots: tuple[int, ...]) -> Gf2Matrix:
-    # One check per non-pivot column f: c_f equals the sum of G[i, f] * c_{p_i},
-    # because an RREF codeword carries message bit i at pivot p_i. For a
-    # systematic generator [I | P] this is [P^T | I].
-    n = generator.cols
-    pivot_set = set(pivots)
-    return Gf2Matrix(n, tuple(
-        (1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator.words) if (g >> (n - 1 - f)) & 1)
-        for f in range(n) if f not in pivot_set
-    ))
-
-
 def span(values) -> list[int]:
     """Every XOR combination of ``values``, indexed by message: entry m is the
     XOR of the values at the set bits of m, the last value being bit 0.
 
-    ``span(code.generator.words)`` is ``code.codewords``. Given any linear
+    ``span(code.generator)`` is ``code.codewords``. Given any linear
     function of each generator row, it lists that function of every
     codeword, in the same order.
     """
@@ -183,31 +144,18 @@ def span(values) -> list[int]:
     return words
 
 
-def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:
-    return Code(
-        n=generator.cols,
-        k=generator.rows,
-        generator=generator,
-        parity_check=_parity_check(generator, pivots),
-        branch_bits=branch_bits,
+def _finish_code(n: int, words, branch_bits: int) -> Code:
+    # The generator is the RREF of ``words``. H has one check per non-pivot
+    # column f: c_f equals the sum of G[i, f] * c_{p_i}, because an RREF
+    # codeword carries message bit i at pivot p_i. For a systematic
+    # generator [I | P] this is [P^T | I].
+    generator, pivots = rref(words, n)
+    pivot_set = set(pivots)
+    parity_check = tuple(
+        (1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator) if (g >> (n - 1 - f)) & 1)
+        for f in range(n) if f not in pivot_set
     )
-
-
-def code_from_generator(generator: Gf2Matrix) -> Code:
-    """Build a code from a full-row-rank generator matrix.
-
-    The generator is reduced to RREF before use; the codespace is the span of
-    its rows and the minimum distance is found by a weight scan, both on
-    first access.
-    """
-    if generator.rows > generator.cols:
-        raise RankError(f"generator has more rows ({generator.rows}) than columns ({generator.cols})")
-    if generator.rows > MAX_MESSAGE_BITS:
-        raise ValueError(f"k = {generator.rows} exceeds the enumeration cap of {MAX_MESSAGE_BITS}")
-    reduced, pivots = generator.rref()
-    if reduced.rows < generator.rows:
-        raise RankError(f"generator is rank-deficient: rank {reduced.rows} < {generator.rows} rows")
-    return _finish_code(reduced, pivots, 1)
+    return Code(n, len(generator), generator, parity_check, branch_bits)
 
 
 # Built-in codes: a [6,3,3] block code, a [3,2,1] block code, and a rate-1/2
@@ -269,9 +217,12 @@ def code_from_json(obj: dict) -> Code:
     ``branch_bits`` defaults to 1. A declared ``n`` or ``k`` must be an
     integer equal to the built code's; ``name`` must be a string, and is
     checked but not stored. Any other key, or both ``generator`` and
-    ``codewords``, raises ``ValueError``. A codeword list's basis is found by
-    row reduction: a set of 2^k distinct words whose span has dimension k is
-    that span, and any other set raises ``NotLinearError``.
+    ``codewords``, raises ``ValueError``. A generator needs at least one
+    row, all of one length, and at most ``MAX_MESSAGE_BITS`` rows; more rows
+    than columns or a rank below the row count raises ``RankError``. A
+    codeword list's basis is found by row reduction: a set of 2^k distinct
+    words whose span has dimension k is that span, and any other set raises
+    ``NotLinearError``. Either way the stored generator is the RREF.
     """
     if not isinstance(obj, dict):
         raise ValueError("code JSON must be an object")
@@ -288,7 +239,25 @@ def code_from_json(obj: dict) -> Code:
     if not isinstance(obj.get("name", ""), str):
         raise ValueError(f"name must be a string, got {obj['name']!r}")
     if shape == "generator":
-        code = code_from_generator(Gf2Matrix.from_rows(obj["generator"]))
+        rows = obj["generator"]
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise ValueError("matrix rows must be lists")
+        if not rows:
+            raise ValueError("generator has no rows")
+        n = len(rows[0])
+        if any(len(r) != n for r in rows):
+            raise ValueError("ragged rows")
+        for r in rows:
+            for x in r:
+                if type(x) is not int or x not in (0, 1):
+                    raise ValueError(f"matrix entries must be the integers 0 or 1 (not bool or float), got {x!r}")
+        if len(rows) > n:
+            raise RankError(f"generator has more rows ({len(rows)}) than columns ({n})")
+        if len(rows) > MAX_MESSAGE_BITS:
+            raise ValueError(f"k = {len(rows)} exceeds the enumeration cap of {MAX_MESSAGE_BITS}")
+        code = _finish_code(n, [sum(x << (n - 1 - j) for j, x in enumerate(r)) for r in rows], 1)
+        if code.k < len(rows):
+            raise RankError(f"generator is rank-deficient: rank {code.k} < {len(rows)} rows")
     else:
         strings = obj["codewords"]
         if not isinstance(strings, list):
@@ -312,10 +281,9 @@ def code_from_json(obj: dict) -> Code:
             raise NotLinearError(f"|codespace| = {size} is not a power of two")
         if branch_bits < 1 or n % branch_bits:
             raise ValueError(f"branch_bits = {branch_bits} does not divide n = {n} into sections")
-        reduced, pivots = Gf2Matrix(n, tuple(words)).rref()
-        if (1 << reduced.rows) != size:
+        code = _finish_code(n, words, branch_bits)
+        if (1 << code.k) != size:
             raise NotLinearError("codeword set is not closed under XOR")
-        code = _finish_code(reduced, pivots, branch_bits)
     for key, built in (("n", code.n), ("k", code.k)):
         if key in obj and _json_int(obj, key) != built:
             raise ValueError(f"declared {key} = {obj[key]} but the code has {key} = {built}")

@@ -1,12 +1,15 @@
 """Layered circuit assembly, cost expectations, and parameter training.
 
-The three training strategies are one staged loop, ``_train``: a round runs
-q Nelder-Mead draws over the angles of the layers it adds, with the layers
-earlier rounds chose frozen and their output computed once, and keeps the
-best draw. The uniform strategy ("upo") is one round of all p layers sharing
-one (beta, gamma) pair, so its search is 2-dimensional at any depth. The
-staged strategy ("fpo") is p rounds of one layer each. The random baseline is
-one round over all 2p coordinates.
+The three training strategies are rows of one table in one staged loop,
+``_train``, and ``TRAINERS`` maps each CLI name to ``_train`` with that name
+bound. A round runs q Nelder-Mead draws over the angles of the layers it
+adds, with the layers earlier rounds chose frozen and their output computed
+once, and keeps the best draw. A strategy's row is its round count, its
+search dimension and the layers a point of the search adds: the uniform
+strategy ("upo") is one round of all p layers sharing one (beta, gamma)
+pair, so its search is 2-dimensional at any depth; the staged strategy
+("fpo") is p rounds of one layer each; the random baseline is one round over
+all 2p coordinates.
 
 Training, the final measurement and the landscape scan evaluate the circuit on
 a ``DecodeProblem``, compiled once per call onto the code's 2^k codespace: for
@@ -47,8 +50,8 @@ made. The final measurement uses ``child_seed(master, MEASURE)``.
 """
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,10 +243,17 @@ def _finish(
     )
 
 
-def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots: int, seed: int, mode: str,
-           stages: int, dim: int, layers: Callable[[np.ndarray], tuple[Sequence[float], Sequence[float]]],
-           uniform: bool = False) -> TrainingResult:
-    """Best of q Nelder-Mead draws, in ``stages`` rounds that each add layers.
+def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots: int, seed: int,
+           mode: str = "exact") -> TrainingResult:
+    """Best of q Nelder-Mead draws per round, over the rounds of ``strategy``.
+
+    ``strategy`` is the CLI name, and the report names it in capitals:
+
+    - "upo", uniform-parameter training: one round in which all p layers
+      share one (beta, gamma) pair, a 2-dimensional search at any depth;
+    - "fpo", staged training: p rounds, the l-th optimizing only
+      (beta_l, gamma_l) with the l - 1 pairs chosen before it frozen;
+    - "random", the random-start baseline: one round over all 2p angles.
 
     A round freezes the previous round's winning parameters as a prefix and
     computes the prefix's output once; each evaluation applies only the new
@@ -261,9 +271,15 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}")
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
+    rounds, dim, layers = {
+        "fpo": (p, 2, lambda v: ((v[0],), (v[1],))),
+        "random": (1, 2 * p, lambda v: (v[:p], v[p:])),
+        "upo": (1, 2, lambda v: ((v[0],) * p, (v[1],) * p)),
+    }[strategy]
+    uniform = strategy == "upo"
     problem = DecodeProblem(code, received)
     prefix = QaoaParams((), ())
-    for stage in range(stages):
+    for stage in range(rounds):
         start = problem.amplitudes(prefix.betas, prefix.gammas)
 
         def params(x) -> QaoaParams:
@@ -282,62 +298,11 @@ def _train(strategy: str, code: Code, received: BitVector, p: int, q: int, shots
             records.append(DrawRecord(params(x0), params(res.x).canonical(), res.fun, res.success))
         best = min(records, key=lambda rec: rec.expectation)
         prefix = best.final_params
-    return _finish(strategy, problem, records, best, shots, seed, mode)
+    return _finish(strategy.upper(), problem, records, best, shots, seed, mode)
 
 
-def train_upo(
-    code: Code,
-    received: BitVector,
-    p: int,
-    q: int,
-    shots: int,
-    seed: int,
-    mode: str = "exact",
-) -> TrainingResult:
-    """Uniform-parameter training: all p layers share one (beta, gamma) pair.
-
-    q independent random starts are each refined by Nelder-Mead over the
-    2-dimensional shared-parameter space; the draw with the lowest cost
-    expectation wins.
-    """
-    return _train("UPO", code, received, p, q, shots, seed, mode, stages=1, dim=2,
-                  layers=lambda v: ((v[0],) * p, (v[1],) * p), uniform=True)
-
-
-def train_fpo(
-    code: Code,
-    received: BitVector,
-    p: int,
-    q: int,
-    shots: int,
-    seed: int,
-    mode: str = "exact",
-) -> TrainingResult:
-    """Staged training: grow the circuit one layer at a time.
-
-    At stage l the l-1 previously chosen pairs stay frozen and only
-    (beta_l, gamma_l) is optimized, again as the best of q random starts.
-    The reported samples are the final stage's records.
-    """
-    return _train("FPO", code, received, p, q, shots, seed, mode, stages=p, dim=2,
-                  layers=lambda v: ((v[0],), (v[1],)))
-
-
-def train_random(
-    code: Code,
-    received: BitVector,
-    p: int,
-    q: int,
-    shots: int,
-    seed: int,
-    mode: str = "exact",
-) -> TrainingResult:
-    """Random-start baseline over the full 2p-dimensional parameter space."""
-    return _train("RANDOM", code, received, p, q, shots, seed, mode, stages=1, dim=2 * p,
-                  layers=lambda v: (v[:p], v[p:]))
-
-
-TRAINERS = {"upo": train_upo, "fpo": train_fpo, "random": train_random}
+# Strategy name -> its trainer, ``trainer(code, received, p, q, shots, seed, mode="exact")``.
+TRAINERS = {s: functools.partial(_train, s) for s in ("fpo", "random", "upo")}
 
 
 def landscape_scan(code: Code, received: BitVector, p: int, grid: int) -> np.ndarray:

@@ -86,7 +86,7 @@ def build_trellis(code: Code) -> Trellis:
     # columns[bit] is H's column at that bit of a word (bit 0 rightmost), as a
     # syndrome with the first check row most significant.
     columns = [0] * code.n
-    rows = code.parity_check.words
+    rows = code.parity_check
     r = len(rows)
     for i, row in enumerate(rows):
         check = 1 << (r - 1 - i)
@@ -94,7 +94,7 @@ def build_trellis(code: Code) -> Trellis:
             low = row & -row
             columns[low.bit_length() - 1] |= check
             row ^= low
-    generator = code.generator.words
+    generator = code.generator
     partial = [0] * code.k  # each generator row's partial syndrome at the current cut
     # A basis of the current cut's states, each packed above the bit it sets
     # in a state's position: a state packed above zero and reduced against it

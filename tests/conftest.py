@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qviterbi import Gf2Matrix, builtin_code
+from qviterbi import builtin_code
+from qviterbi.codes import rref
 
 # Reference data for the built-in codes, duplicated as literals so the tests
 # do not trust the library's own enumeration.
@@ -59,8 +60,13 @@ def cyclic_generator(poly, n):
     return [[0] * i + list(poly) + [0] * (n - r - 1 - i) for i in range(n - r)]
 
 
+def words_of(rows):
+    """Each 0/1 row as one int, leftmost entry most significant."""
+    return [int("".join(map(str, row)), 2) for row in rows]
+
+
 def _rank(rows):
-    return Gf2Matrix.from_rows(rows).rref()[0].rows
+    return len(rref(words_of(rows), len(rows[0]))[0])
 
 
 @st.composite
@@ -76,16 +82,15 @@ def generators(draw, max_n=6):
                 .filter(lambda rows: _rank(rows) == k))
 
 
-def bit_array(matrix):
-    """The entries of a ``Gf2Matrix`` as a (rows, cols) uint8 array, read off its row words."""
-    bits = [[(w >> (matrix.cols - 1 - j)) & 1 for j in range(matrix.cols)] for w in matrix.words]
-    return np.array(bits, dtype=np.uint8).reshape(matrix.rows, matrix.cols)
+def bit_array(words, cols):
+    """The GF(2) matrix with one int per row in ``words`` as a (rows, cols) uint8 array."""
+    bits = [[(w >> (cols - 1 - j)) & 1 for j in range(cols)] for w in words]
+    return np.array(bits, dtype=np.uint8).reshape(len(words), cols)
 
 
 def span_words(rows):
     """Every XOR combination of the rows, as sorted bit strings."""
     span = {0}
-    for row in rows:
-        word = int("".join(map(str, row)), 2)
+    for word in words_of(rows):
         span |= {w ^ word for w in span}
     return [format(w, f"0{len(rows[0])}b") for w in sorted(span)]

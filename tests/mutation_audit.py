@@ -86,13 +86,13 @@ MUTANTS = (
     Mutant(
         "d_computed_at_load",
         "src/qviterbi/codes.py",
-        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n",
-        "def _finish_code(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n"
-        "    code = _finish_code_lazily(generator, pivots, branch_bits)\n"
+        "def _finish_code(n: int, words, branch_bits: int) -> Code:\n",
+        "def _finish_code(n: int, words, branch_bits: int) -> Code:\n"
+        "    code = _finish_code_lazily(n, words, branch_bits)\n"
         "    code.d\n"
         "    return code\n"
         "\n\n"
-        "def _finish_code_lazily(generator: Gf2Matrix, pivots, branch_bits) -> Code:\n",
+        "def _finish_code_lazily(n: int, words, branch_bits: int) -> Code:\n",
         ("tests/test_trellis.py::TestGolay24::test_oracle_never_lists_the_codewords",),
     ),
     Mutant(
@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "parity_check_misses_last_row",
         "src/qviterbi/codes.py",
-        "for p, g in zip(pivots, generator.words) if",
-        "for p, g in zip(pivots[:-1], generator.words) if",
+        "for p, g in zip(pivots, generator) if",
+        "for p, g in zip(pivots[:-1], generator) if",
         ("tests/test_codes.py::TestCodeFromGenerator::test_633_parity_check",),
     ),
     Mutant(

@@ -104,12 +104,20 @@ EQUIVALENT = (
                "order, and sorted is stable, so a tie in probability keeps the lesser bit string first "
                "whether the second key is the string or the probability again"),
     Equivalent("src/qviterbi/codes.py",
-               "(1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator.words) if "
+               "(1 << (n - 1 - f)) | sum(1 << (n - 1 - p) for p, g in zip(pivots, generator) if "
                "(g >> (n - 1 - f)) & 1)", "|", "^",
                "f is not a pivot column, so the check's bit at f and its bits at the pivots are disjoint"),
     Equivalent("src/qviterbi/codes.py", "[1, 0, 1],", "0", "1",
                "lbc_321's rows [0, 1, 0] and [1, 1, 1] span the same code as [0, 1, 0] and [1, 0, 1], and a "
                "code is loaded as the unique RREF of its row space"),
+    Equivalent("src/qviterbi/engine.py", "if self.uniform and self.p > 1:", ">", ">=",
+               "at p = 1 each angle tuple holds one value, so its set has one element and the check passes"),
+    Equivalent("src/qviterbi/engine.py",
+               "return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])", "1", "2",
+               "generate_state(2) begins with the word generate_state(1) returns, and only word 0 is read"),
+    Equivalent("src/qviterbi/engine.py", "kept = [i for i, p in enumerate(weights) if p > 1e-15]", ">", ">=",
+               "differs only for a probability of exactly 1e-15, which no tested decode produces; a codeword "
+               "probability is a squared sum of 2^k phases and lands on that float only by coincidence"),
 )
 
 

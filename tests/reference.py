@@ -35,6 +35,7 @@ from qviterbi import (
     Statevector,
     build_mixer_hamiltonian,
 )
+from qviterbi.codes import rref
 from qviterbi.problem import DecodeProblem
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -120,12 +121,12 @@ def apply_codespace_prep(sv: Statevector, code: Code) -> None:
     no zero rows, which row reduction returns unchanged; any other generator
     is a ValueError.
     """
-    reduced, pivots = code.generator.rref()
+    reduced, pivots = rref(code.generator, code.n)
     if reduced != code.generator:
         raise ValueError("generator not in reduced row-echelon form")
     for p in pivots:
         apply_h(sv, p)
-    for row, pivot in zip(code.generator.words, pivots):
+    for row, pivot in zip(code.generator, pivots):
         for i in range(code.n):
             if (row >> (code.n - 1 - i)) & 1 and i != pivot:
                 apply_cx(sv, pivot, i)

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from qviterbi import (
     BitVector,
     cli,
-    Gf2Matrix,
     LengthError,
     NotLinearError,
     RankError,
     builtin_code,
     builtin_names,
-    code_from_generator,
     code_from_json,
     load_code,
 )
+from qviterbi.codes import rref
 from conftest import (
     BUILTIN_NAMES,
     CODESPACE_321,
@@ -28,6 +27,7 @@ from conftest import (
     bit_array,
     generators,
     span_words,
+    words_of,
 )
 
 
@@ -57,11 +57,12 @@ class TestBitVector:
 
 
 class TestGf2Matrix:
+    """GF(2) matrices held as one int per row, and their row reduction ``rref``."""
+
     def test_rref_pivots_strictly_increasing(self):
-        m = Gf2Matrix.from_rows([[0, 1, 0], [1, 0, 1], [1, 1, 1]])
-        reduced, pivots = m.rref()
-        assert list(pivots) == sorted(pivots)
-        assert reduced.rref()[0].rows == len(pivots)
+        reduced, pivots = rref(words_of([[0, 1, 0], [1, 0, 1], [1, 1, 1]]), 3)
+        assert (reduced, pivots) == ((0b101, 0b010), (0, 1))
+        assert rref(reduced, 3) == (reduced, pivots)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -70,22 +71,22 @@ class TestGf2Matrix:
         # in any order and with repeats, reduces to the same rows and pivots.
         rows = data.draw(generators(max_n=8))
         n = len(rows[0])
-        expected = Gf2Matrix.from_rows(rows).rref()
+        expected = rref(words_of(rows), n)
         words = [int(w, 2) for w in span_words(rows)]
         listed = data.draw(st.permutations(words + data.draw(st.lists(st.sampled_from(words), max_size=4))))
-        assert Gf2Matrix(n, tuple(listed)).rref() == expected
+        assert rref(listed, n) == expected
 
     def test_rank(self):
-        assert Gf2Matrix.from_rows([[1, 0], [0, 1]]).rref()[0].rows == 2
-        assert Gf2Matrix.from_rows([[1, 1], [1, 1]]).rref()[0].rows == 1
+        # Duplicate rows collapse; a zero row is dropped.
+        assert rref([0b10, 0b01], 2) == ((0b10, 0b01), (0, 1))
+        assert rref([0b11, 0b11], 2) == ((0b11,), (0,))
+        assert rref([0b011, 0, 0b001], 3) == ((0b010, 0b001), (1, 2))
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            Gf2Matrix.from_rows([[0, 2]])
-        with pytest.raises(ValueError):
-            Gf2Matrix(2, (4,))
-        with pytest.raises(ValueError):
-            Gf2Matrix(2, (True,))
+        # A generator's entries are the ints 0 and 1: not 2, a bool or a float.
+        for entry in (2, True, 1.0):
+            with pytest.raises(ValueError, match=f"got {entry!r}$"):
+                code_from_json({"generator": [[0, entry]]})
 
 
 class TestCodeFromGenerator:
@@ -94,10 +95,10 @@ class TestCodeFromGenerator:
         assert (lbc_633.n, lbc_633.k, lbc_633.d) == (6, 3, 3)
 
     def test_633_parity_check(self, lbc_633):
-        assert bit_array(lbc_633.parity_check).tolist() == PARITY_633
+        assert bit_array(lbc_633.parity_check, 6).tolist() == PARITY_633
 
     def test_single_bit_code(self):
-        code = code_from_generator(Gf2Matrix.from_rows([[1]]))
+        code = code_from_json({"generator": [[1]]})
         assert sorted(str(c) for c in code.codespace) == ["0", "1"]
         assert code.d == 1
 
@@ -106,12 +107,12 @@ class TestCodeFromGenerator:
         assert lbc_321.d == 1
 
     def test_rank_deficient(self):
-        with pytest.raises(RankError):
-            code_from_generator(Gf2Matrix.from_rows([[1, 0, 1], [1, 0, 1]]))
+        with pytest.raises(RankError, match="rank 1 < 2 rows"):
+            code_from_json({"generator": [[1, 0, 1], [1, 0, 1]]})
 
     def test_more_rows_than_columns(self):
-        with pytest.raises(RankError):
-            code_from_generator(Gf2Matrix.from_rows([[1], [1]]))
+        with pytest.raises(RankError, match=r"more rows \(2\) than columns \(1\)"):
+            code_from_json({"generator": [[1], [1]]})
 
 
 class TestCodeFromCodewords:
@@ -162,7 +163,7 @@ class TestCodeInvariants:
 
     def test_parity_check_is_bidirectional(self, name, all_builtins):
         code = all_builtins[name]
-        h = bit_array(code.parity_check)
+        h = bit_array(code.parity_check, code.n)
         members = {c.to_index() for c in code.codespace}
         for v in range(1 << code.n):
             word = np.array([int(b) for b in str(BitVector(code.n, v))], dtype=np.uint8)
@@ -234,6 +235,28 @@ class TestJsonInterface:
         path = tmp_path / "code.json"
         path.write_text(json.dumps(body))
         assert cli.main(["oracle", "--code", str(path), "--received", "00"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("generator, message", [
+        ([1, 0], "matrix rows must be lists"),
+        ("10", "matrix rows must be lists"),
+        ([], "generator has no rows"),
+        ([[1, 0], [1]], "ragged rows"),
+        ([[2], [1, 0]], "ragged rows"),
+        ([[1] * 22] * 21, "k = 21 exceeds the enumeration cap of 20"),
+    ], ids=["flat_list", "string", "no_rows", "ragged", "ragged_before_entries", "k_cap_before_rank"])
+    def test_generator_json_rejects(self, generator, message, tmp_path, capsys):
+        # The checks run in this order: lists of lists, at least one row, one
+        # row length, 0/1 entries (TestGf2Matrix), at most n rows, the k cap,
+        # full rank (TestCodeFromGenerator).
+        body = {"generator": generator}
+        with pytest.raises(ValueError) as raised:
+            code_from_json(body)
+        assert str(raised.value) == message
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["oracle", "--code", str(path), "--received", "0"]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
 

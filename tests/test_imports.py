@@ -14,10 +14,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # Every name the package exports, with the submodule that defines it.
 EXPORTS = {
-    "codes": ["BitVector", "Code", "Gf2Matrix", "builtin_code", "builtin_names", "code_from_generator",
-              "code_from_json", "load_code"],
-    "engine": ["QaoaParams", "TrainingResult", "expectation_exact", "expectation_sampled", "landscape_scan",
-               "run_pqc", "train_fpo", "train_random", "train_upo"],
+    "codes": ["BitVector", "Code", "builtin_code", "builtin_names", "code_from_json", "load_code"],
+    "engine": ["QaoaParams", "TRAINERS", "TrainingResult", "expectation_exact", "expectation_sampled",
+               "landscape_scan", "run_pqc"],
     "errors": ["EmptyMixerError", "LengthError", "NotLinearError", "QviterbiError", "RankError"],
     "statevector": ["Statevector", "apply_cost_unitary", "apply_mixer_unitary", "build_mixer_hamiltonian",
                     "measure_counts", "prepare_uniform_codespace"],

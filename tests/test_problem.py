@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from qviterbi import (
     BitVector,
     EmptyMixerError,
-    Gf2Matrix,
     QaoaParams,
-    code_from_generator,
+    TRAINERS,
     code_from_json,
     measure_counts,
     run_pqc,
-    train_fpo,
-    train_random,
-    train_upo,
 )
 from qviterbi.engine import TWO_PI
 from qviterbi.problem import DENSE_WALSH_MAX_K, DecodeProblem, fwht, walsh_matrix, walsh_transforms
@@ -56,7 +52,7 @@ def decode_cases(draw):
     rows = draw(generators())
     n = len(rows[0])
     if draw(st.booleans()):
-        code = code_from_generator(Gf2Matrix.from_rows(rows))
+        code = code_from_json({"generator": rows})
     else:
         # The same code ingested as an explicit codeword list.
         code = code_from_json({"codewords": span_words(rows)})
@@ -107,8 +103,8 @@ def test_expectation_is_invariant_under_a_coordinate_permutation(case, data):
     # Permuting the coordinates of G and r relabels the codewords and keeps every distance.
     code, received, betas, gammas = case
     perm = data.draw(st.permutations(range(code.n)))
-    rows = bit_array(code.generator).tolist()
-    permuted = code_from_generator(Gf2Matrix.from_rows([[row[q] for q in perm] for row in rows]))
+    rows = bit_array(code.generator, code.n).tolist()
+    permuted = code_from_json({"generator": [[row[q] for q in perm] for row in rows]})
     moved = BitVector.from_string("".join(str(received)[q] for q in perm))
     original = DecodeProblem(code, received)
     relabelled = DecodeProblem(permuted, moved)
@@ -173,7 +169,7 @@ def test_start_state_is_left_unchanged(lbc_633):
     (cyclic_generator([1, 1, 0, 0, 1], 15), (15, 11, 3)),  # Hamming, 1 + x + x^4: the butterfly path
 ])
 def test_wide_codes_match_dense(rows, nkd):
-    code = code_from_generator(Gf2Matrix.from_rows(rows))
+    code = code_from_json({"generator": rows})
     assert (code.n, code.k, code.d) == nkd
     assert (DecodeProblem(code, BitVector(code.n, 0)).transform is fwht) == (code.k > DENSE_WALSH_MAX_K)
     rng = np.random.default_rng(5)
@@ -193,7 +189,7 @@ PATH_CODES = {
 
 def path_problem(path):
     rows, k = PATH_CODES[path]
-    code = code_from_generator(Gf2Matrix.from_rows(rows))
+    code = code_from_json({"generator": rows})
     assert code.k == k
     rng = np.random.default_rng(k)
     return DecodeProblem(code, BitVector(code.n, int(rng.integers(1 << code.n)))), rng
@@ -305,11 +301,11 @@ def test_word_limit_accepts_63_bits_and_rejects_64():
     # Codewords are held as int64: the [63, 1] repetition code compiles, with
     # its all-ones word intact, and the [64, 1] one is refused before any
     # int64 array is made.
-    problem = DecodeProblem(code_from_generator(Gf2Matrix.from_rows([[1] * 63])), BitVector(63, 1))
+    problem = DecodeProblem(code_from_json({"generator": [[1] * 63]}), BitVector(63, 1))
     assert problem.codewords.tolist() == [0, (1 << 63) - 1]
     assert problem.distances.tolist() == [1, 62]
     with pytest.raises(ValueError, match="64"):
-        DecodeProblem(code_from_generator(Gf2Matrix.from_rows([[1] * 64])), BitVector(64, 1))
+        DecodeProblem(code_from_json({"generator": [[1] * 64]}), BitVector(64, 1))
 
 
 def test_spectrum_is_mixer_eigenvalues(lbc_633):
@@ -371,8 +367,8 @@ def test_sampled_counts_match_dense_measurement(conv_code):
     assert {problem.bit_string(i): int(c) for i, c in enumerate(counts) if c} == dense
 
 
-@pytest.mark.parametrize("trainer", [train_upo, train_fpo, train_random])
-def test_zero_code_raises_empty_mixer(trainer):
+@pytest.mark.parametrize("strategy", ["upo", "fpo", "random"], ids="train_{}".format)
+def test_zero_code_raises_empty_mixer(strategy):
     code = code_from_json({"codewords": ["000"]})
     with pytest.raises(EmptyMixerError):
-        trainer(code, BitVector.from_string("101"), p=2, q=1, shots=10, seed=0)
+        TRAINERS[strategy](code, BitVector.from_string("101"), p=2, q=1, shots=10, seed=0)

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from qviterbi import (
     BitVector,
     Code,
-    Gf2Matrix,
     Statevector,
     apply_cost_unitary,
     apply_mixer_unitary,
     build_mixer_hamiltonian,
     builtin_code,
-    code_from_generator,
     code_from_json,
     measure_counts,
     prepare_uniform_codespace,
@@ -27,6 +25,7 @@ from conftest import (
     generators,
     reed_muller_1,
     span_words,
+    words_of,
 )
 from reference import (
     SQRT2_INV,
@@ -196,7 +195,7 @@ class TestStatePreparation:
         # Hadamards leave it, which 2 ** (-k / 2) misses in the last bit.
         if name in NAMED_CODES:
             rows, nk = NAMED_CODES[name]
-            code = code_from_generator(Gf2Matrix.from_rows(rows))
+            code = code_from_json({"generator": rows})
             assert (code.n, code.k) == nk
         else:
             code = builtin_code(name)
@@ -205,12 +204,12 @@ class TestStatePreparation:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(generators(max_n=12), st.booleans())
     def test_prepared_state_is_the_gate_built_state_on_generated_codes(self, rows, as_codewords):
-        # Both code factories store an RREF generator, which the gate-built
+        # Both code JSON shapes store an RREF generator, which the gate-built
         # preparation needs.
         if as_codewords:
             code = code_from_json({"codewords": span_words(rows)})
         else:
-            code = code_from_generator(Gf2Matrix.from_rows(rows))
+            code = code_from_json({"generator": rows})
         assert prepare_uniform_codespace(code).amplitudes.tobytes() == gate_built(code).amplitudes.tobytes()
 
     def test_633_uniform_support(self, lbc_633):
@@ -241,8 +240,8 @@ class TestStatePreparation:
     ])
     def test_non_rref_generator_rejected(self, rows):
         # The gate-built preparation of the test reference is right only for
-        # an RREF generator; both code factories store one.
-        bad = Code(n=2, k=2, generator=Gf2Matrix.from_rows(rows), parity_check=Gf2Matrix(2, ()), branch_bits=1)
+        # an RREF generator; both code JSON shapes store one.
+        bad = Code(n=2, k=2, generator=tuple(words_of(rows)), parity_check=(), branch_bits=1)
         with pytest.raises(ValueError, match="reduced row-echelon"):
             apply_codespace_prep(Statevector(2), bad)
 

@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 import qviterbi.trellis
 from qviterbi import (
     BitVector,
-    Gf2Matrix,
     LengthError,
     Trellis,
     build_trellis,
-    code_from_generator,
     code_from_json,
     ml_brute_force,
     viterbi_decode,
 )
-from qviterbi.codes import span
+from qviterbi.codes import rref, span
 from cold_start import seeded_systematic_28_20
-from conftest import BUILTIN_NAMES, bit_array, generators, span_words
+from conftest import BUILTIN_NAMES, bit_array, generators, span_words, words_of
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -34,7 +32,7 @@ def bv(s):
 
 def syndrome_columns(code):
     """H's column at each bit of a word (string order) as a syndrome, the first check row most significant."""
-    h = bit_array(code.parity_check).astype(np.int64)
+    h = bit_array(code.parity_check, code.n).astype(np.int64)
     return (h.T @ (1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64))).tolist()
 
 
@@ -87,7 +85,7 @@ def codeword_triples(code):
     on set to zero; computed with numpy from the codeword list and H."""
     b = code.branch_bits
     words = np.array([[int(x) for x in str(c)] for c in code.codespace], dtype=np.int64)
-    h = bit_array(code.parity_check).astype(np.int64)
+    h = bit_array(code.parity_check, code.n).astype(np.int64)
     leading = 1 << np.arange(h.shape[0] - 1, -1, -1, dtype=np.int64)
     states = []
     for t in range(code.n // b + 1):
@@ -165,7 +163,7 @@ class TestBuildTrellis:
         # A seeded [28, 20] code: 2^20 messages, 7164 branches. The build
         # lists each branch once per field and no message; a build that would
         # list more fails before it makes the list.
-        code = code_from_generator(Gf2Matrix.from_rows(seeded_systematic_28_20()))
+        code = code_from_json({"generator": seeded_systematic_28_20()})
         branches = 7164
         listed = []
 
@@ -226,7 +224,7 @@ class TestViterbiDecode:
     def test_backtrack_deeper_than_the_recursion_limit(self):
         # 1200 sections, more than Python's default recursion limit of 1000.
         n = 1200
-        trellis = build_trellis(code_from_generator(Gf2Matrix.from_rows([[1] * n])))
+        trellis = build_trellis(code_from_json({"generator": [[1] * n]}))
         result = viterbi_decode(trellis, bv("1" * n))
         assert result.best_metric == 0
         assert result.best_codewords == (bv("1" * n),)
@@ -273,7 +271,7 @@ def golay24_code():
     # Cyclic Golay [23,12,7] from g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, plus a parity bit.
     g = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
     rows = [[0] * i + g + [0] * (11 - i) for i in range(12)]
-    return code_from_generator(Gf2Matrix.from_rows([r + [sum(r) % 2] for r in rows]))
+    return code_from_json({"generator": [r + [sum(r) % 2] for r in rows]})
 
 
 class TestGolay24:
@@ -372,7 +370,7 @@ def random_codes(draw):
     rows = draw(generators(max_n=8))
     n = len(rows[0])
     if draw(st.booleans()):
-        code = code_from_generator(Gf2Matrix.from_rows(rows))
+        code = code_from_json({"generator": rows})
     else:
         # Widths that cut the word first, widest first, then n and 1: in this
         # order the 150 derandomized cases hold 2-, 3- and 4-bit sections of
@@ -390,16 +388,16 @@ def test_random_codes_trellis_matches_brute_force(case):
     trellis = build_trellis(code)
     decoded = [viterbi_decode(trellis, r) for r in received]
     assert "codewords" not in vars(code) and "d" not in vars(code)
-    assert bit_array(Gf2Matrix.from_rows(rows)).tolist() == rows
-    assert code.generator.rref()[0] == code.generator
+    assert code.generator == rref(words_of(rows), code.n)[0]
+    assert rref(code.generator, code.n)[0] == code.generator
     assert [str(c) for c in code.codespace] == span_words(rows)
-    assert span(code.generator.words) == list(code.codewords)
+    assert span(code.generator) == list(code.codewords)
     assert code.d == min((w.count("1") for w in span_words(rows) if "1" in w), default=0)
     g = np.array(rows, dtype=np.int64)
-    h = bit_array(code.parity_check).astype(np.int64)
+    h = bit_array(code.parity_check, code.n).astype(np.int64)
     assert not (g @ h.T % 2).any()
     assert h.shape == (code.n - code.k, code.n)
-    assert code.parity_check.rref()[0].rows == code.n - code.k
+    assert len(rref(code.parity_check, code.n)[0]) == code.n - code.k
     assert path_count(trellis) == 1 << code.k
     layers = node_layers(trellis)
     assert layers[0] == layers[-1] == (0,)
